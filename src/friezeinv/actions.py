@@ -8,32 +8,44 @@ The generator actions on variable indices are:
     h: x_i -> y_i,     y_i -> x_i            (F6, F7)
     r: x_i -> y_{-i},  y_i -> x_{-i}         (F4)
 
-An element in normal form v^a h^b t^z acts as the composite v^a o h^b o t^z
-(shift first).  Powers of g shift every index by z and swap the alphabets
-when z is odd.
+An element in normal form v^a h^b r^c (t|g)^z acts as the composite
+v^a o h^b o r^c o (t|g)^z (shift first).  It acts on a normal-form monomial
+by integer arithmetic on its blocks.  A block (b, s) holds the variables of
+one alphabet, x_{b+1}^{s1} ... x_{b+m}^{sm} for the m parts of the shape s;
+a two-alphabet monomial has the x block (base, shape_x) and the y block
+(base + delta, shape_y).
+
+  * Base shift: t^z and g^z add z to the base of every block.
+  * Block swap: h, r and an odd power of g exchange the x and y blocks;
+    swaps combine by XOR.
+  * Block reflection: v and r map each block (b, s) to (-b-m-1, rev s).
+
+Swap and reflection commute.  The image is rebuilt from the two block bases:
+the x block's base is the new base and the y block's base minus it the new
+delta, with the pure-x, pure-y and unit conventions of ``monomials``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .compositions import EMPTY, Composition
 from .groups import FriezeGroup, GroupElement, identity, shift
-from .monomials import (
-    ALPHABET_X,
-    Monomial,
-    MonomialX,
-    MonomialXY,
-    normal_form_x,
-    normal_form_xy,
-)
+from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY
 
 
-def _shifted(exps: dict[int, int], z: int) -> dict[int, int]:
-    return {i + z: c for i, c in exps.items()} if z else exps
+def _reflect(base: int, shape: Composition) -> tuple[int, Composition]:
+    """Block reflection (b, s) -> (-b-m-1, rev s)."""
+    return -base - len(shape.parts) - 1, shape.reverse()
 
 
-def _negated(exps: dict[int, int]) -> dict[int, int]:
-    return {-i: c for i, c in exps.items()}
+def _xy_from_blocks(bx: int, sx: Composition, by: int, sy: Composition) -> MonomialXY:
+    """Two-alphabet normal form of a nonunit pair of blocks."""
+    if not sy.parts:
+        return MonomialXY(bx, sx, EMPTY, 0)
+    if not sx.parts:
+        return MonomialXY(by, EMPTY, sy, 0)
+    return MonomialXY(bx, sx, sy, by - bx)
 
 
 def act_x(element: GroupElement, monomial: MonomialX) -> MonomialX:
@@ -42,10 +54,12 @@ def act_x(element: GroupElement, monomial: MonomialX) -> MonomialX:
         raise ValueError(f"{element.group} does not act on the one-alphabet ring")
     if not isinstance(monomial, MonomialX):
         raise TypeError("act_x expects a one-alphabet monomial")
-    xs = _shifted(monomial.exponents(), element.power)
+    if not monomial.shape.parts:
+        return monomial
+    base, shape = monomial.base + element.power, monomial.shape
     if element.v:
-        xs = _negated(xs)
-    return normal_form_x(xs)
+        base, shape = _reflect(base, shape)
+    return MonomialX(base, shape)
 
 
 def act_xy(element: GroupElement, monomial: MonomialXY) -> MonomialXY:
@@ -54,19 +68,18 @@ def act_xy(element: GroupElement, monomial: MonomialXY) -> MonomialXY:
         raise ValueError(f"{element.group} does not act on the two-alphabet ring")
     if not isinstance(monomial, MonomialXY):
         raise TypeError("act_xy expects a two-alphabet monomial")
-    xs, ys = monomial.exponents()
+    sx, sy = monomial.shape_x, monomial.shape_y
+    if not (sx.parts or sy.parts):
+        return monomial
     z = element.power
-    if element.group.uses_glide and z % 2:
-        xs, ys = _shifted(ys, z), _shifted(xs, z)
-    else:
-        xs, ys = _shifted(xs, z), _shifted(ys, z)
-    if element.h:
-        xs, ys = ys, xs
-    if element.v:
-        xs, ys = _negated(xs), _negated(ys)
-    if element.r:
-        xs, ys = _negated(ys), _negated(xs)
-    return normal_form_xy(xs, ys)
+    bx = monomial.base + z
+    by = bx + monomial.delta
+    if element.v or element.r:
+        bx, sx = _reflect(bx, sx)
+        by, sy = _reflect(by, sy)
+    if element.h ^ element.r ^ (element.group.uses_glide and z % 2 == 1):
+        bx, sx, by, sy = by, sy, bx, sx
+    return _xy_from_blocks(bx, sx, by, sy)
 
 
 def act(element: GroupElement, monomial: Monomial) -> Monomial:
@@ -119,8 +132,19 @@ def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[
         image = act(rep, monomial)
         lo, hi = image.support()
         # shifting by z moves the support to [lo+z, hi+z]
-        for z in range(-window - lo, window - hi + 1):
-            out.add(act(shift(group, z), image))
+        shifts = range(-window - lo, window - hi + 1)
+        if isinstance(image, MonomialX):
+            out.update(MonomialX(image.base + z, image.shape) for z in shifts)
+            continue
+        # an odd glide power also swaps the blocks, which keeps the support
+        odd = image
+        if group.uses_glide:
+            odd = _xy_from_blocks(
+                image.base + image.delta, image.shape_y, image.base, image.shape_x
+            )
+        for z in shifts:
+            source = odd if z % 2 else image
+            out.add(MonomialXY(source.base + z, source.shape_x, source.shape_y, source.delta))
     return out
 
 

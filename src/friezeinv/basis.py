@@ -87,25 +87,18 @@ def index_of_monomial(group: FriezeGroup, monomial: Monomial) -> BasisIndex:
     """The unique basis label whose orbit contains the monomial."""
     if monomial.is_unit:
         raise ValueError("the unit monomial has no basis label")
-    best: BasisIndex | None = None
-    for rep in translation_coset_representatives(group):
-        image = act(rep, monomial)
-        if isinstance(image, MonomialX):
-            candidate = BasisIndex(group, image.shape)
-        elif group.uses_glide:
-            candidate = BasisIndex(
-                group,
-                image.shape_x,
-                image.shape_y,
-                image.delta,
-                primed=image.base % 2 == 1,
-            )
-        else:
-            candidate = BasisIndex(group, image.shape_x, image.shape_y, image.delta)
-        if best is None or candidate.sort_key() < best.sort_key():
-            best = candidate
-    assert best is not None
-    return best
+    images = (act(rep, monomial) for rep in translation_coset_representatives(group))
+    return min((_label_of_image(group, image) for image in images), key=BasisIndex.sort_key)
+
+
+def _label_of_image(group: FriezeGroup, image: Monomial) -> BasisIndex:
+    if isinstance(image, MonomialX):
+        return BasisIndex(group, image.shape)
+    if group.uses_glide:
+        return BasisIndex(
+            group, image.shape_x, image.shape_y, image.delta, primed=image.base % 2 == 1
+        )
+    return BasisIndex(group, image.shape_x, image.shape_y, image.delta)
 
 
 def canonical_index(

@@ -44,8 +44,11 @@ class Composition:
         return self.parts == self.parts[::-1]
 
     def reverse(self) -> "Composition":
-        """Reversed composition; valid because first and last entries swap roles."""
-        return Composition(self.parts[::-1])
+        """Reversed composition; valid because first and last entries swap
+        roles, so it is built without checking the parts again."""
+        out = object.__new__(Composition)
+        object.__setattr__(out, "parts", self.parts[::-1])
+        return out
 
     def __len__(self) -> int:
         return len(self.parts)

@@ -107,12 +107,12 @@ class GroupElement:
         return replace(self, power=-self.power)
 
     def __pow__(self, exponent: int) -> "GroupElement":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = identity(self.group)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        odd = exponent % 2 == 1
+        if self.reverses_shift:
+            # an involution
+            return self if odd else identity(self.group)
+        # h commutes with the shift generator, and h^2 = 1
+        return GroupElement(self.group, h=self.h and odd, power=self.power * exponent)
 
     def sort_key(self) -> tuple:
         return (self.v, self.h, self.r, self.power)

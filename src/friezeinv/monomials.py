@@ -90,11 +90,12 @@ class MonomialXY:
         return xs, ys
 
     def support(self) -> tuple[int, int] | None:
-        xs, ys = self.exponents()
-        indices = list(xs) + list(ys)
-        if not indices:
-            return None
-        return (min(indices), max(indices))
+        """(smallest, largest) variable index present, or None for the unit."""
+        m, mp = self.shape_x.num_parts, self.shape_y.num_parts
+        if not (m and mp):
+            # a single block is anchored at base + 1, whichever alphabet it is
+            return (self.base + 1, self.base + m + mp) if m or mp else None
+        return (self.base + 1 + min(0, self.delta), self.base + max(m, self.delta + mp))
 
     @property
     def span(self) -> int:

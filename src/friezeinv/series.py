@@ -29,6 +29,8 @@ from .monomials import (
 
 Scalar = Union[int, str, Fraction]
 
+_ZERO = Fraction(0)
+
 
 def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, float):
@@ -85,7 +87,7 @@ class TruncatedSeries:
         return cls(alphabet, degree, window)
 
     def coefficient(self, monomial: Monomial) -> Fraction:
-        return self._coeffs.get(monomial, Fraction(0))
+        return self._coeffs.get(monomial, _ZERO)
 
     def monomials(self) -> set[Monomial]:
         return set(self._coeffs)
@@ -208,18 +210,46 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TruncatedSeries":
+        """Inverse of ``to_json_dict``; any malformed input raises ValueError.
+
+        ``degree`` and ``window`` must be JSON integers, each term an object
+        with a monomial string and a coefficient that is a JSON integer or
+        an exact rational string such as ``"-3/2"``.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError("malformed series object: expected a JSON object")
         try:
             alphabet = data["alphabet"]
-            degree = int(data["degree"])
-            window = int(data["window"])
+            degree = _json_int(data, "degree")
+            window = _json_int(data, "window")
             raw_terms = data["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed series object: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(f"malformed series object: missing {exc}") from exc
+        if not isinstance(raw_terms, list):
+            raise ValueError("malformed series object: terms must be a list")
         terms = []
-        for entry in raw_terms:
-            monomial = parse_monomial(entry["monomial"], alphabet)
-            terms.append((monomial, as_fraction(entry["coeff"])))
+        for n, entry in enumerate(raw_terms):
+            if not isinstance(entry, Mapping) or not isinstance(entry.get("monomial"), str):
+                raise ValueError(f"malformed term {n}: expected a string \"monomial\"")
+            coeff = entry.get("coeff")
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
+                raise ValueError(
+                    f"malformed term {n}: coefficient must be an integer or a string, "
+                    f"got {coeff!r}"
+                )
+            try:
+                value = Fraction(coeff)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"malformed term {n}: bad coefficient {coeff!r}") from exc
+            terms.append((parse_monomial(entry["monomial"], alphabet), value))
         return cls(alphabet, degree, window, terms)
+
+
+def _json_int(data: Mapping, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"malformed series object: {key} must be an integer, got {value!r}")
+    return value
 
 
 def _merge(a: Monomial, b: Monomial) -> Monomial:

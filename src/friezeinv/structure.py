@@ -69,8 +69,8 @@ def decomposition_census(
     indices = enumerate_indices(group, degree, max_parts, max_abs_delta)
     line = sum(1 for idx in indices if component_type(group, idx) is ComponentType.LINE)
     double = len(indices) - line
-    if group is FriezeGroup.F6 and degree % 2 == 1:
-        assert line == 0, "self-paired labels require an even degree"
+    if group is FriezeGroup.F6 and degree % 2 == 1 and line:
+        raise RuntimeError("self-paired labels require an even degree")
     return CensusReport(group, degree, max_parts, max_abs_delta, line, double)
 
 

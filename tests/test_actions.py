@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friezeinv import (
+    ALPHABET_X,
     FriezeGroup,
     GroupElement,
     MonomialX,
@@ -123,6 +126,49 @@ def test_generator_actions_match_closed_forms(group, letter, oracle):
     for _ in range(200):
         m = _random_xy_two_block(rng)
         assert act_xy(gen, m) == oracle(m)
+
+
+# exponent maps over a small index range: empty maps give the unit and one
+# empty map a pure-x or pure-y monomial; the y block may start on either side
+exponent_maps = st.dictionaries(st.integers(-8, 8), st.integers(0, 3), max_size=5)
+
+
+@st.composite
+def elements_and_monomials(draw):
+    group = draw(st.sampled_from(list(FriezeGroup)))
+    flags = {letter: draw(st.booleans()) for letter in sorted(group.flag_letters)}
+    element = GroupElement(group, power=draw(st.integers(-9, 9)), **flags)
+    if group.alphabet == ALPHABET_X:
+        return element, normal_form_x(draw(exponent_maps))
+    return element, normal_form_xy(draw(exponent_maps), draw(exponent_maps))
+
+
+def letter_word(element: GroupElement) -> str:
+    """The normal form v^a h^b r^c s^z spelled out letter by letter."""
+    flags = "".join(letter for letter in "vhr" if getattr(element, letter))
+    letter = element.group.shift_letter
+    power = element.power
+    return flags + (letter * power if power >= 0 else letter.upper() * -power)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(elements_and_monomials())
+def test_act_matches_letter_oracle(case):
+    element, monomial = case
+    image = act(element, monomial)
+    expected = oracle_act_word(element.group, letter_word(element), monomial)
+    assert type(image) is type(expected)
+    assert image == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(exponent_maps, exponent_maps)
+def test_support_matches_exponents(xs, ys):
+    for monomial in (normal_form_x(xs), normal_form_xy(xs, ys)):
+        exps = monomial.exponents()
+        indices = list(exps) if isinstance(monomial, MonomialX) else [*exps[0], *exps[1]]
+        expected = (min(indices), max(indices)) if indices else None
+        assert monomial.support() == expected
 
 
 def test_wrong_group_rejected():

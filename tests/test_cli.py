@@ -207,3 +207,50 @@ def test_check_reads_stdin():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["invariant"] is True
+
+
+def _check_payload(tmp_path, capsys, payload, *extra):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(payload))
+    return run_cli(capsys, "check", "--group", "F1", str(path), *extra)
+
+
+def _x_payload():
+    return expand_basis_function(make_index(FriezeGroup.F1, composition(1)), 3).to_json_dict()
+
+
+def _assert_clean_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_check_term_without_monomial_is_usage_error(tmp_path, capsys):
+    payload = _x_payload()
+    payload["terms"][0] = {"coeff": "1"}
+    _assert_clean_usage_error(*_check_payload(tmp_path, capsys, payload))
+
+
+def test_check_float_coefficient_is_usage_error(tmp_path, capsys):
+    payload = _x_payload()
+    payload["terms"][0]["coeff"] = 1.5
+    _assert_clean_usage_error(*_check_payload(tmp_path, capsys, payload))
+
+
+def test_check_non_integer_degree_or_window_is_usage_error(tmp_path, capsys):
+    for key, value in (("degree", 1.9), ("degree", True), ("window", 3.0), ("window", True)):
+        payload = dict(_x_payload(), **{key: value})
+        _assert_clean_usage_error(*_check_payload(tmp_path, capsys, payload))
+
+
+def test_check_margin_beyond_window_is_usage_error(tmp_path, capsys):
+    payload = {"alphabet": "X", "degree": 1, "window": 2,
+               "terms": [{"monomial": "x[0]", "coeff": "1"}]}
+    code, out, err = _check_payload(tmp_path, capsys, payload, "--margin", "3")
+    _assert_clean_usage_error(code, out, err)
+    assert "interior is empty" in err
+    # the widest margin with a nonempty interior, [0, 0], still checks
+    code, out, _ = _check_payload(tmp_path, capsys, payload, "--margin", "2")
+    assert code == 1
+    assert json.loads(out)["invariant"] is False

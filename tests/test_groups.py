@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -80,6 +81,28 @@ def test_powers():
     assert g**-3 == shift(F2, -3)
     assert (parse_word(F3, "v*t") ** 2).is_identity
     assert (generator(F7, "v") ** 0).is_identity
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_power_closed_form_matches_repeated_product(group):
+    rng = random.Random(777 + ord(group.value[1]))
+    for _ in range(20):
+        element = _random_element(group, rng)
+        for n in range(-12, 13):
+            step = element if n >= 0 else element.inverse()
+            expected = identity(group)
+            for _ in range(abs(n)):
+                expected = expected * step
+            assert element**n == expected
+
+
+def test_huge_powers_parse_at_once():
+    start = time.perf_counter()
+    assert parse_word(F1, "t^3000000") == shift(F1, 3000000)
+    assert parse_word(F6, "h^3000001*t^-3000000") == GroupElement(F6, h=True, power=-3000000)
+    assert parse_word(F5, "r^3000001") == generator(F5, "r")
+    # repeated multiplication took seconds here; the closed form takes microseconds
+    assert time.perf_counter() - start < 1.0
 
 
 def test_mixed_group_multiplication_rejected():

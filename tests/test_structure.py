@@ -47,6 +47,16 @@ def test_census_f6_parity():
         assert report.double > 0
 
 
+def test_census_f6_parity_guard_survives_optimize(monkeypatch):
+    # a classification that calls a label self-paired at odd degree must fail
+    # loudly, also under python -O
+    import friezeinv.structure as structure
+
+    monkeypatch.setattr(structure, "component_type", lambda group, index: ComponentType.LINE)
+    with pytest.raises(RuntimeError, match="even degree"):
+        decomposition_census(F6, 3, 3, 3)
+
+
 def test_census_f1_matches_stars_and_bars():
     # exact-part counts via cumulative census differences
     for degree in (1, 2, 3, 4):
