@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .compositions import EMPTY, Composition
-from .groups import FriezeGroup, GroupElement, identity, shift
+from .groups import FriezeGroup, GroupElement, generator, identity, shift
 from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY
 
 
@@ -92,22 +92,16 @@ def act(element: GroupElement, monomial: Monomial) -> Monomial:
 @lru_cache(maxsize=None)
 def orbit_coset_representatives(group: FriezeGroup) -> tuple[GroupElement, ...]:
     """Coset representatives of the cyclic shift subgroup; the orbit of a
-    monomial is the union of the shift-orbits of their images."""
-    e = identity(group)
-    if group in (FriezeGroup.F1, FriezeGroup.F2):
-        return (e,)
-    if group in (FriezeGroup.F3, FriezeGroup.F5):
-        return (e, GroupElement(group, v=True))
-    if group is FriezeGroup.F4:
-        return (e, GroupElement(group, r=True))
-    if group is FriezeGroup.F6:
-        return (e, GroupElement(group, h=True))
-    return (
-        e,
-        GroupElement(group, v=True),
-        GroupElement(group, h=True),
-        GroupElement(group, v=True, h=True),
-    )
+    monomial is the union of the shift-orbits of their images.
+
+    They are the products of the subsets of the group's commuting flag
+    generators."""
+    reps = (identity(group),)
+    for letter in "vhr":
+        if letter in group.flag_letters:
+            flag = generator(group, letter)
+            reps += tuple(rep * flag for rep in reps)
+    return reps
 
 
 @lru_cache(maxsize=None)

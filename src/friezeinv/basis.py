@@ -8,10 +8,10 @@ representative's base index is even (unprimed) or odd (primed).
 
 Several raw labels can name the same orbit (reversal for F3, shape swaps with
 an offset adjustment for F4/F6/F7, the parity-coupled swap families for
-F2/F5).  Canonicalization acts by every translation-coset representative,
-reads off the label of each image and keeps the lexicographically least
-tuple (parityClass, shapeX, shapeY, delta); this generates the full
-equivalence class without case analysis.
+F2/F5).  Canonicalization acts by every translation-coset representative
+and keeps the image whose label tuple (parityClass, shapeX, shapeY, delta)
+is lexicographically least; this generates the full equivalence class
+without case analysis.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .actions import act, orbit_in_window, translation_coset_representatives
 from .compositions import EMPTY, Composition, compositions_of, parse_composition
 from .errors import ParseError
 from .groups import FriezeGroup
-from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY
+from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, fits_window
 from .series import TruncatedSeries, is_invariant
 
 
@@ -87,18 +87,17 @@ def index_of_monomial(group: FriezeGroup, monomial: Monomial) -> BasisIndex:
     """The unique basis label whose orbit contains the monomial."""
     if monomial.is_unit:
         raise ValueError("the unit monomial has no basis label")
-    images = (act(rep, monomial) for rep in translation_coset_representatives(group))
-    return min((_label_of_image(group, image) for image in images), key=BasisIndex.sort_key)
+    images = [act(rep, monomial) for rep in translation_coset_representatives(group)]
+    if isinstance(monomial, MonomialX):
+        return BasisIndex(group, min(images, key=lambda image: image.shape.parts).shape)
+    glide = group.uses_glide
 
+    def key(image: MonomialXY) -> tuple:
+        primed = glide and image.base % 2 == 1
+        return (primed, image.shape_x.parts, image.shape_y.parts, image.delta)
 
-def _label_of_image(group: FriezeGroup, image: Monomial) -> BasisIndex:
-    if isinstance(image, MonomialX):
-        return BasisIndex(group, image.shape)
-    if group.uses_glide:
-        return BasisIndex(
-            group, image.shape_x, image.shape_y, image.delta, primed=image.base % 2 == 1
-        )
-    return BasisIndex(group, image.shape_x, image.shape_y, image.delta)
+    best = min(images, key=key)
+    return BasisIndex(group, best.shape_x, best.shape_y, best.delta, primed=key(best)[0])
 
 
 def canonical_index(
@@ -161,8 +160,7 @@ def expand_basis_function(index: BasisIndex, window: int) -> TruncatedSeries:
     with coefficient 1 (stabilized monomials are not repeated).
     """
     rep = representative_monomial(index)
-    sup = rep.support()
-    if sup is not None and (sup[0] < -window or sup[1] > window):
+    if not fits_window(rep, window):
         raise ValueError(
             f"window {window} is too small for the representative monomial {rep}"
         )
@@ -177,42 +175,31 @@ def expand_in_basis(
 ) -> dict[BasisIndex, Fraction]:
     """Coefficients of an invariant series on the orbit-sum basis.
 
-    Coefficients are read off canonical representatives rather than solved
-    for; an index is reported when its representative monomial is supported
-    in the interior window [-window+margin, window-margin].  The result is
-    checked two ways: interior coefficients must be constant on each orbit,
-    and the reported combination must reconstruct the series on the interior
-    supports of the reported orbits.  Non-invariant input is rejected.
+    Coefficients are read off the series rather than solved for; an index is
+    reported when its representative monomial is supported in the interior
+    window [-window+margin, window-margin].  Non-invariant input, and a
+    margin that leaves no interior, are rejected by ``is_invariant``.  Each
+    orbit met in the interior is then labelled once and cross-checked: every
+    orbit member in the interior must carry the coefficient of the term that
+    found it, so the reported combination reconstructs the series there.
     """
     if series.degree < 1:
         raise ValueError("degree-0 series have no orbit-sum expansion")
     if not is_invariant(group, series, margin):
         raise ValueError("series is not invariant on the interior window")
-    lo, hi = -series.window + margin, series.window - margin
-
-    def interior(monomial: Monomial) -> bool:
-        sup = monomial.support()
-        return sup is None or (lo <= sup[0] and sup[1] <= hi)
-
-    by_index: dict[BasisIndex, list[Monomial]] = {}
-    for monomial in series.monomials():
-        if interior(monomial):
-            by_index.setdefault(index_of_monomial(group, monomial), []).append(monomial)
-
+    interior = series.window - margin
     out: dict[BasisIndex, Fraction] = {}
-    for index, members in by_index.items():
-        values = {series.coefficient(m) for m in members}
-        if len(values) != 1:
-            raise ValueError(f"coefficients are not constant on the orbit of {index}")
-        if not interior(representative_monomial(index)):
+    seen: set[Monomial] = set()
+    for monomial, coeff in series.terms():
+        if monomial in seen or not fits_window(monomial, interior):
             continue
-        out[index] = values.pop()
-
-    # reconstruction check over the reported orbits
-    for index, coeff in out.items():
-        for monomial in expand_basis_function(index, series.window).monomials():
-            if interior(monomial) and series.coefficient(monomial) != coeff:
-                raise ValueError(f"reconstruction mismatch at {monomial} for {index}")
+        index = index_of_monomial(group, monomial)
+        for member in orbit_in_window(group, monomial, interior):
+            if series.coefficient(member) != coeff:
+                raise ValueError(f"reconstruction mismatch at {member} for {index}")
+            seen.add(member)
+        if fits_window(representative_monomial(index), interior):
+            out[index] = coeff
     return out
 
 

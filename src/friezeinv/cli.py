@@ -140,11 +140,6 @@ def _cmd_check(args) -> int:
         raise ParseError(
             f"series alphabet {series.alphabet} does not match {args.group.value}"
         )
-    if args.margin > series.window:
-        raise ValueError(
-            f"margin {args.margin} exceeds window {series.window}: the interior is empty, "
-            "so there is nothing to check"
-        )
     ok = is_invariant(args.group, series, args.margin)
     _print_json(
         {

@@ -9,6 +9,7 @@ always bounded by a maximal number of parts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -20,7 +21,7 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(operator.index(p) for p in self.parts)
         object.__setattr__(self, "parts", parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"composition entries must be non-negative, got {parts}")

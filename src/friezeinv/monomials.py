@@ -14,6 +14,7 @@ Degenerate conventions making the form unique:
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -115,15 +116,21 @@ UNIT_X = MonomialX(0, EMPTY)
 UNIT_XY = MonomialXY(0, EMPTY, EMPTY, 0)
 
 
+def fits_window(monomial: Monomial, window: int) -> bool:
+    """True when the monomial is the unit or its support lies in [-window, window]."""
+    sup = monomial.support()
+    return sup is None or (-window <= sup[0] and sup[1] <= window)
+
+
 def _clean_exponents(mapping: Mapping[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for index, exponent in mapping.items():
-        exponent = int(exponent)
+        exponent = operator.index(exponent)
         if exponent == 0:
             continue
         if exponent < 0:
             raise ValueError(f"exponents must be non-negative, got {exponent} at index {index}")
-        out[int(index)] = exponent
+        out[operator.index(index)] = exponent
     return out
 
 

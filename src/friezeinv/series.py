@@ -11,7 +11,7 @@ interior margin.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .actions import act
 from .groups import FriezeGroup, generators
@@ -22,6 +22,7 @@ from .monomials import (
     MonomialX,
     MonomialXY,
     UNIT_X,
+    fits_window,
     normal_form_x,
     normal_form_xy,
     parse_monomial,
@@ -60,27 +61,25 @@ class TruncatedSeries:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "window", window)
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        expected = MonomialX if alphabet == ALPHABET_X else MonomialXY
-        store: dict[Monomial, Fraction] = {}
-        for monomial, value in items:
-            if not isinstance(monomial, expected):
-                raise TypeError(f"expected {expected.__name__} keys for alphabet {alphabet}")
-            if monomial.degree != degree:
-                raise ValueError(
-                    f"monomial {monomial} has degree {monomial.degree}, series has degree {degree}"
-                )
-            sup = monomial.support()
-            if sup is not None and (sup[0] < -window or sup[1] > window):
-                raise ValueError(f"monomial {monomial} is not supported in [-{window}, {window}]")
-            coeff = store.get(monomial, Fraction(0)) + as_fraction(value)
-            if coeff:
-                store[monomial] = coeff
-            else:
-                store.pop(monomial, None)
-        object.__setattr__(self, "_coeffs", store)
+        object.__setattr__(
+            self, "_coeffs", _accumulate(_checked_terms(items, alphabet, degree, window))
+        )
 
     def __setattr__(self, name, value):  # noqa: ANN001
         raise AttributeError("TruncatedSeries is immutable")
+
+    @classmethod
+    def _trusted(
+        cls, alphabet: str, degree: int, window: int, store: dict[Monomial, Fraction]
+    ) -> "TruncatedSeries":
+        """Series over a store the library built itself from valid series: its
+        keys already have the alphabet, degree and window, and no value is zero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "alphabet", alphabet)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "window", window)
+        object.__setattr__(out, "_coeffs", store)
+        return out
 
     @classmethod
     def zero(cls, alphabet: str, degree: int, window: int) -> "TruncatedSeries":
@@ -113,25 +112,13 @@ class TruncatedSeries:
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        out = dict(self._coeffs)
-        for monomial, coeff in other._coeffs.items():
-            total = out.get(monomial, Fraction(0)) + coeff
-            if total:
-                out[monomial] = total
-            else:
-                out.pop(monomial, None)
-        return TruncatedSeries(self.alphabet, self.degree, self.window, out)
+        out = _accumulate(other._coeffs.items(), dict(self._coeffs))
+        return TruncatedSeries._trusted(self.alphabet, self.degree, self.window, out)
 
     def scale(self, value: Scalar) -> "TruncatedSeries":
         factor = as_fraction(value)
-        if not factor:
-            return TruncatedSeries.zero(self.alphabet, self.degree, self.window)
-        return TruncatedSeries(
-            self.alphabet,
-            self.degree,
-            self.window,
-            {monomial: coeff * factor for monomial, coeff in self._coeffs.items()},
-        )
+        out = {m: coeff * factor for m, coeff in self._coeffs.items()} if factor else {}
+        return TruncatedSeries._trusted(self.alphabet, self.degree, self.window, out)
 
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Ring product; the degree adds and the window stays the same.
@@ -140,16 +127,14 @@ class TruncatedSeries:
         truncation loss happens here (loss only enters via the factors).
         """
         self._check_compatible(other, same_degree=False)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self._coeffs.items():
-            for mb, cb in other._coeffs.items():
-                key = _merge(ma, mb)
-                total = out.get(key, Fraction(0)) + ca * cb
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        return TruncatedSeries(self.alphabet, self.degree + other.degree, self.window, out)
+        out = _accumulate(
+            (_merge(ma, mb), ca * cb)
+            for ma, ca in self._coeffs.items()
+            for mb, cb in other._coeffs.items()
+        )
+        return TruncatedSeries._trusted(
+            self.alphabet, self.degree + other.degree, self.window, out
+        )
 
     def project(self, window: int) -> "TruncatedSeries":
         """Restrict to a smaller window, dropping the monomials that escape it."""
@@ -157,12 +142,8 @@ class TruncatedSeries:
             raise ValueError("window must be non-negative")
         if window > self.window:
             raise ValueError(f"cannot project from window {self.window} up to {window}")
-        kept = {}
-        for monomial, coeff in self._coeffs.items():
-            sup = monomial.support()
-            if sup is None or (-window <= sup[0] and sup[1] <= window):
-                kept[monomial] = coeff
-        return TruncatedSeries(self.alphabet, self.degree, window, kept)
+        kept = {m: coeff for m, coeff in self._coeffs.items() if fits_window(m, window)}
+        return TruncatedSeries._trusted(self.alphabet, self.degree, window, kept)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self.add(other)
@@ -245,6 +226,39 @@ class TruncatedSeries:
         return cls(alphabet, degree, window, terms)
 
 
+def _checked_terms(
+    items: Iterable[tuple[Monomial, Scalar]], alphabet: str, degree: int, window: int
+) -> Iterator[tuple[Monomial, Fraction]]:
+    """Caller-supplied terms, each checked against the series' alphabet,
+    degree and window, with the value made a Fraction."""
+    expected = MonomialX if alphabet == ALPHABET_X else MonomialXY
+    for monomial, value in items:
+        if not isinstance(monomial, expected):
+            raise TypeError(f"expected {expected.__name__} keys for alphabet {alphabet}")
+        if monomial.degree != degree:
+            raise ValueError(
+                f"monomial {monomial} has degree {monomial.degree}, series has degree {degree}"
+            )
+        if not fits_window(monomial, window):
+            raise ValueError(f"monomial {monomial} is not supported in [-{window}, {window}]")
+        yield monomial, as_fraction(value)
+
+
+def _accumulate(
+    pairs: Iterable[tuple[Monomial, Fraction]], store: dict[Monomial, Fraction] | None = None
+) -> dict[Monomial, Fraction]:
+    """Add each value into ``store`` (a new dict by default) under its
+    monomial, dropping the monomials whose sum is zero."""
+    out = {} if store is None else store
+    for monomial, value in pairs:
+        total = out.get(monomial, _ZERO) + value
+        if total:
+            out[monomial] = total
+        else:
+            out.pop(monomial, None)
+    return out
+
+
 def _json_int(data: Mapping, key: str) -> int:
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, int):
@@ -272,24 +286,10 @@ def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
     the window; linear in the series."""
     if element.group.alphabet != series.alphabet:
         raise ValueError(f"{element.group} does not act on alphabet {series.alphabet}")
-    out: dict[Monomial, Fraction] = {}
     window = series.window
-    for monomial, coeff in series._coeffs.items():
-        image = act(element, monomial)
-        sup = image.support()
-        if sup is not None and (sup[0] < -window or sup[1] > window):
-            continue
-        total = out.get(image, Fraction(0)) + coeff
-        if total:
-            out[image] = total
-        else:
-            out.pop(image, None)
-    return TruncatedSeries(series.alphabet, series.degree, window, out)
-
-
-def _interior(monomial: Monomial, lo: int, hi: int) -> bool:
-    sup = monomial.support()
-    return sup is None or (lo <= sup[0] and sup[1] <= hi)
+    images = ((act(element, monomial), coeff) for monomial, coeff in series._coeffs.items())
+    out = _accumulate((image, coeff) for image, coeff in images if fits_window(image, window))
+    return TruncatedSeries._trusted(series.alphabet, series.degree, window, out)
 
 
 def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bool:
@@ -299,21 +299,27 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
     [-window+margin, window-margin], the coefficient must match the one of its
     preimage.  margin >= 1 is required so preimages of interior monomials stay
     inside the window (the shift generators move indices by one; reflections
-    preserve the symmetric interior).
+    preserve the symmetric interior), and margin <= window so that the
+    interior holds at least one index.
     """
     if margin < 1:
         raise ValueError("margin must be at least 1")
+    if margin > series.window:
+        raise ValueError(
+            f"margin {margin} exceeds window {series.window}: the interior is empty, "
+            "so there is nothing to check"
+        )
     if group.alphabet != series.alphabet:
         raise ValueError(f"{group} does not act on alphabet {series.alphabet}")
-    lo, hi = -series.window + margin, series.window - margin
+    interior = series.window - margin
     for gen in generators(group):
         inv = gen.inverse()
         candidates = set()
         for monomial in series._coeffs:
-            if _interior(monomial, lo, hi):
+            if fits_window(monomial, interior):
                 candidates.add(monomial)
             image = act(gen, monomial)
-            if _interior(image, lo, hi):
+            if fits_window(image, interior):
                 candidates.add(image)
         for monomial in candidates:
             if series.coefficient(act(inv, monomial)) != series.coefficient(monomial):

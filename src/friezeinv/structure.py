@@ -92,13 +92,7 @@ def embed_line(
     group = index.group
     if component_type(group, index) is not ComponentType.LINE:
         raise ValueError("embed_line requires a LINE component")
-    terms = {}
-    for position, value in sequence.items():
-        monomial = _line_monomial(index, position)
-        sup = monomial.support()
-        if sup[0] < -window or sup[1] > window:
-            raise ValueError(f"position {position} does not fit in window {window}")
-        terms[monomial] = as_fraction(value)
+    terms = [(_line_monomial(index, position), value) for position, value in sequence.items()]
     return TruncatedSeries(group.alphabet, index.degree, window, terms)
 
 
@@ -126,22 +120,15 @@ def embed_double(
     """Series carried by a DOUBLE component from position -> (value, value).
 
     The first slot rides the label's own translate family, the second the
-    alphabet-swapped family at the same base.
+    alphabet-swapped family at the same base.  Positions whose monomials
+    leave the window are rejected.
     """
     if component_type(index.group, index) is not ComponentType.DOUBLE:
         raise ValueError("embed_double requires a DOUBLE component")
-    terms: dict[Monomial, Fraction] = {}
+    terms: list[tuple[Monomial, Scalar]] = []
     for position, (first_value, second_value) in sequence.items():
-        for monomial, value in zip(_double_monomials(index, position),
-                                   (first_value, second_value)):
-            sup = monomial.support()
-            if sup[0] < -window or sup[1] > window:
-                raise ValueError(f"position {position} does not fit in window {window}")
-            coeff = terms.get(monomial, Fraction(0)) + as_fraction(value)
-            if coeff:
-                terms[monomial] = coeff
-            else:
-                terms.pop(monomial, None)
+        first, second = _double_monomials(index, position)
+        terms += [(first, first_value), (second, second_value)]
     return TruncatedSeries(index.group.alphabet, index.degree, window, terms)
 
 

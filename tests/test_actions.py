@@ -21,6 +21,7 @@ from friezeinv import (
     shift,
     stabilizer,
 )
+from friezeinv.actions import orbit_coset_representatives
 from conftest import (
     ball_words,
     brute_orbit_in_window,
@@ -303,3 +304,21 @@ def test_stabilizer_matches_brute_force(group):
         }
         closed = {e for e in stabilizer(group, m) if e in words}
         assert brute == closed, (m, sorted(map(str, brute)), sorted(map(str, closed)))
+
+
+@pytest.mark.parametrize(
+    "group, flags",
+    [
+        (FriezeGroup.F1, {"1"}),
+        (FriezeGroup.F2, {"1"}),
+        (FriezeGroup.F3, {"1", "v"}),
+        (FriezeGroup.F4, {"1", "r"}),
+        (FriezeGroup.F5, {"1", "v"}),
+        (FriezeGroup.F6, {"1", "h"}),
+        (FriezeGroup.F7, {"1", "v", "h", "v*h"}),
+    ],
+)
+def test_orbit_coset_representatives(group, flags):
+    reps = orbit_coset_representatives(group)
+    assert len(reps) == len(flags)
+    assert {str(rep) for rep in reps} == flags

@@ -244,6 +244,14 @@ def test_check_non_integer_degree_or_window_is_usage_error(tmp_path, capsys):
         _assert_clean_usage_error(*_check_payload(tmp_path, capsys, payload))
 
 
+def test_symfunc_margin_beyond_window_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "symfunc", "e", "2", "-N", "2", "--expand-basis", "--margin", "5"
+    )
+    _assert_clean_usage_error(code, out, err)
+    assert "interior is empty" in err
+
+
 def test_check_margin_beyond_window_is_usage_error(tmp_path, capsys):
     payload = {"alphabet": "X", "degree": 1, "window": 2,
                "terms": [{"monomial": "x[0]", "coeff": "1"}]}

@@ -28,6 +28,11 @@ def test_invalid_parts_rejected(parts):
         Composition(parts)
 
 
+def test_non_integer_parts_rejected():
+    with pytest.raises(TypeError):
+        composition(1.5, 2)
+
+
 def test_reverse_examples():
     assert composition(2, 0, 1).reverse() == composition(1, 0, 2)
     assert composition(1, 2, 1).reverse() == composition(1, 2, 1)

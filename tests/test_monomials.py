@@ -17,6 +17,7 @@ from friezeinv import (
     parse_monomial,
 )
 from friezeinv.errors import ParseError
+from friezeinv.monomials import fits_window
 
 exponent_maps = st.dictionaries(st.integers(-6, 6), st.integers(1, 4), max_size=5)
 
@@ -27,6 +28,18 @@ def test_normal_form_x_examples():
     assert normal_form_x({1: 3}) == MonomialX(0, composition(3))
     assert normal_form_x({}) == UNIT_X
     assert UNIT_X.degree == 0 and UNIT_X.support() is None
+
+
+def test_normal_form_rejects_non_integer_exponents():
+    with pytest.raises(TypeError):
+        normal_form_x({1: 1.5})
+
+
+def test_fits_window_examples():
+    m = normal_form_xy({-2: 1}, {3: 1})  # support [-2, 3]
+    assert fits_window(m, 3) and not fits_window(m, 2)
+    assert fits_window(normal_form_x({0: 2}), 0)
+    assert fits_window(UNIT_X, 0) and fits_window(UNIT_XY, 0)
 
 
 def test_normal_form_xy_examples():

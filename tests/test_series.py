@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friezeinv import (
     ALPHABET_X,
@@ -23,6 +25,7 @@ from friezeinv import (
     normal_form_xy,
     shift,
 )
+from friezeinv.actions import orbit_coset_representatives
 
 F1, F2, F3, F4, F5, F6, F7 = FriezeGroup
 
@@ -172,6 +175,70 @@ def test_is_invariant_margin_validation():
         is_invariant(F6, s, 1)
 
 
+def test_empty_interior_is_an_error():
+    s = complete_sym(2, 2)
+    for check in (is_invariant, expand_in_basis):
+        with pytest.raises(ValueError, match="interior is empty"):
+            check(F1, s, 3)
+    # margin == window leaves the interior [0, 0], which holds x_0^2
+    assert is_invariant(F1, s, 2)
+
+
+@st.composite
+def small_series(draw, alphabet, degree, window):
+    """A series with few terms over a small window; repeated monomials and
+    zero coefficients exercise the accumulation."""
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        indices = draw(st.lists(st.integers(-window, window), min_size=degree, max_size=degree))
+        if alphabet == ALPHABET_X:
+            exps = {}
+            for i in indices:
+                exps[i] = exps.get(i, 0) + 1
+            monomial = normal_form_x(exps)
+        else:
+            letters = draw(st.lists(st.booleans(), min_size=degree, max_size=degree))
+            xs, ys = {}, {}
+            for i, is_x in zip(indices, letters):
+                target = xs if is_x else ys
+                target[i] = target.get(i, 0) + 1
+            monomial = normal_form_xy(xs, ys)
+        terms.append((monomial, Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))))
+    return TruncatedSeries(alphabet, degree, window, terms)
+
+
+@st.composite
+def related_series(draw):
+    alphabet = draw(st.sampled_from((ALPHABET_X, ALPHABET_XY)))
+    window = draw(st.integers(0, 3))
+    degree = draw(st.integers(1, 3))
+    a = draw(small_series(alphabet, degree, window))
+    b = draw(small_series(alphabet, degree, window))
+    c = draw(small_series(alphabet, draw(st.integers(0, 2)), window))
+    return a, b, c
+
+
+def _rebuilt(series):
+    return TruncatedSeries(series.alphabet, series.degree, series.window, series.terms())
+
+
+@settings(max_examples=150, deadline=None)
+@given(related_series(), st.integers(-2, 2), st.integers(0, 3), st.data())
+def test_library_built_series_pass_the_validating_constructor(abc, factor, window, data):
+    a, b, c = abc
+    group = data.draw(st.sampled_from([g for g in FriezeGroup if g.alphabet == a.alphabet]))
+    rep = data.draw(st.sampled_from(orbit_coset_representatives(group)))
+    element = rep * shift(group, data.draw(st.integers(-3, 3)))
+    results = [
+        a.add(b),
+        a.add(a.scale(-1)),
+        a.scale(factor),
+        a.multiply(c),
+        a.project(min(window, a.window)),
+        act_series(element, a),
+    ]
+    for result in results:
+        assert _rebuilt(result) == result
 def test_elementary_examples():
     assert elementary_sym(0, 2) == TruncatedSeries(ALPHABET_X, 0, 2, {UNIT_X: 1})
     assert elementary_sym(1, 1) == x_series(1, -1, 0, 1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -72,6 +73,45 @@ def test_census_example_counts():
     report = decomposition_census(F6, 2, 2, 2)
     assert report.total == report.line + report.double
     assert report.total == len(enumerate_indices(F6, 2, 2, 2))
+
+
+def _raw_shapes(order, max_parts):
+    """Compositions of ``order`` with at most ``max_parts`` parts, as tuples,
+    listed straight from the definition (positive ends, free interior)."""
+    if order == 0:
+        return [()]
+    return [
+        parts
+        for num in range(1, max_parts + 1)
+        for parts in itertools.product(range(order + 1), repeat=num)
+        if sum(parts) == order and parts[0] and parts[-1]
+    ]
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("max_parts", range(1, 4))
+def test_census_counts_match_burnside(degree, max_parts):
+    # F3 identifies a shape with its reversal: the orbit count is the mean of
+    # the fixed-point counts of the identity and the reversal
+    shapes = _raw_shapes(degree, max_parts)
+    palindromes = sum(1 for parts in shapes if parts == parts[::-1])
+    assert len(enumerate_indices(F3, degree, max_parts)) == (len(shapes) + palindromes) // 2
+    assert (len(shapes) + palindromes) % 2 == 0
+
+    # F6 identifies (sx, sy, delta) with (sy, sx, -delta): LINE labels are the
+    # swap's fixed points, every other orbit has two raw labels
+    for max_delta in range(3):
+        raw = [
+            (sx, sy, delta)
+            for order_x in range(degree + 1)
+            for sx in _raw_shapes(order_x, max_parts)
+            for sy in _raw_shapes(degree - order_x, max_parts)
+            for delta in (range(-max_delta, max_delta + 1) if sx and sy else (0,))
+        ]
+        fixed = sum(1 for sx, sy, delta in raw if sx == sy and delta == 0)
+        report = decomposition_census(F6, degree, max_parts, max_delta)
+        assert report.line == fixed
+        assert report.double == (len(raw) - fixed) / 2
 
 
 def test_census_json_shape():
@@ -150,6 +190,14 @@ def test_embed_double_h_swaps_slots():
     coords = double_coordinates(idx, image)
     # the alphabet swap sends the first family at base i to the second at i+delta
     assert coords == {idx.delta + 0: (Fraction(0), Fraction(1))}
+
+
+def test_embed_double_rejects_overflow_and_malformed_pairs():
+    idx = make_index(F6, composition(1), composition(1), 1)
+    with pytest.raises(ValueError):
+        embed_double(idx, {2: (1, 1)}, 3)  # the first family reaches y_4
+    with pytest.raises(ValueError):
+        embed_double(idx, {0: (1, 2, 3)}, 3)
 
 
 def test_embed_double_requires_double_component():
