@@ -143,66 +143,20 @@ def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[
 
 
 def stabilizer(group: FriezeGroup, monomial: Monomial) -> tuple[GroupElement, ...]:
-    """The non-identity elements fixing the monomial, in closed form.
+    """The non-identity elements fixing the monomial, read off the coset table.
 
-    Each nontrivial fixing element is an involution-type flag word combined
-    with one explicit shift power, and there is at most one such element per
-    coset of the shift subgroup, so the tuple has at most three entries (only
+    A power of the shift generator moves the support by its exponent, so each
+    coset of the shift subgroup holds at most one fixing element: the
+    representative followed by the shift that carries the image's support back
+    onto the monomial's.  The tuple therefore has at most three entries (only
     F7 can reach three).  Empty tuple == trivial stabilizer.
     """
     if monomial.is_unit:
         raise ValueError("stabilizer is only defined for nonunit monomials")
-    if group in (FriezeGroup.F1, FriezeGroup.F2):
-        return ()
-    if group is FriezeGroup.F3:
-        if not isinstance(monomial, MonomialX):
-            raise TypeError("F3 acts on one-alphabet monomials")
-        if monomial.shape.is_palindrome:
-            power = -2 * monomial.base - monomial.shape.num_parts - 1
-            return (GroupElement(group, v=True, power=power),)
-        return ()
-    if not isinstance(monomial, MonomialXY):
-        raise TypeError(f"{group} acts on two-alphabet monomials")
-
-    base, sx, sy, delta = monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta
-    m, mp = sx.num_parts, sy.num_parts
-    pure = sx.is_empty or sy.is_empty
-    # width of the block anchored at base+1 (the x block unless it is empty)
-    anchor = mp if sx.is_empty else m
-
-    # reflection type: both shapes palindromic and the y offset self-consistent
-    v_fixes = (
-        sx.is_palindrome and sy.is_palindrome and (pure or 2 * delta == m - mp)
-    )
-    v_power = -2 * base - anchor - 1
-    # rotation type: alphabets swap, so it needs both blocks and mirrored shapes
-    r_fixes = not pure and sx.parts == sy.reverse().parts
-    r_power = -2 * base - delta - m - 1
-    # horizontal type: alphabets swap in place
-    h_fixes = sx == sy and delta == 0
-
-    found: list[GroupElement] = []
-    if group is FriezeGroup.F4:
-        if r_fixes:
-            found.append(GroupElement(group, r=True, power=r_power))
-    elif group is FriezeGroup.F5:
-        # v combined with an even glide power is a pure reflection, with an
-        # odd glide power a rotation; the witness parity decides which exists
-        if v_fixes and v_power % 2 == 0:
-            found.append(GroupElement(group, v=True, power=v_power))
-        if r_fixes and r_power % 2 == 1:
-            found.append(GroupElement(group, v=True, power=r_power))
-    elif group is FriezeGroup.F6:
-        if h_fixes:
-            found.append(GroupElement(group, h=True))
-    elif group is FriezeGroup.F7:
-        if v_fixes:
-            found.append(GroupElement(group, v=True, power=v_power))
-        if h_fixes:
-            found.append(GroupElement(group, h=True))
-        if r_fixes:
-            found.append(GroupElement(group, v=True, h=True, power=r_power))
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled group {group}")
-    found.sort(key=GroupElement.sort_key)
-    return tuple(found)
+    found = []
+    for rep in orbit_coset_representatives(group)[1:]:
+        lo = act(rep, monomial).support()[0]
+        element = shift(group, monomial.support()[0] - lo) * rep
+        if act(element, monomial) == monomial:
+            found.append(element)
+    return tuple(sorted(found, key=GroupElement.sort_key))

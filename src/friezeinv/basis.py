@@ -120,37 +120,31 @@ def enumerate_indices(
 ) -> list[BasisIndex]:
     """All canonical labels of the given degree whose shapes have at most
     ``max_parts`` parts and whose offset satisfies |delta| <= max_abs_delta,
-    deduplicated and in deterministic order."""
+    in deterministic order.
+
+    Every raw label inside the bounds is kept when it is its own canonical
+    form (the canonicity test of orderly generation); canonicalization is
+    idempotent and every canonical label inside the bounds is such a raw
+    label, so each orbit is listed exactly once."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
-    found: set[BasisIndex] = set()
-
-    def within_bounds(idx: BasisIndex) -> bool:
-        return (
-            idx.shape_x.num_parts <= max_parts
-            and idx.shape_y.num_parts <= max_parts
-            and abs(idx.delta) <= max_abs_delta
-        )
-
-    if group.alphabet == ALPHABET_X:
-        for shape in compositions_of(degree, max_parts):
-            found.add(canonical_index(group, shape))
-        return sorted(found, key=BasisIndex.sort_key)
-
+    # one alphabet is the case order_x == degree: empty y shape, no offset
+    orders = range(degree + 1) if group.alphabet != ALPHABET_X else (degree,)
     parities = (False, True) if group.uses_glide else (False,)
-    for order_x in range(degree + 1):
+    labels: list[BasisIndex] = []
+    for order_x in orders:
         for shape_x in compositions_of(order_x, max_parts):
             for shape_y in compositions_of(degree - order_x, max_parts):
                 degenerate = order_x == 0 or order_x == degree
                 deltas = (0,) if degenerate else range(-max_abs_delta, max_abs_delta + 1)
                 for delta in deltas:
                     for primed in parities:
-                        idx = canonical_index(group, shape_x, shape_y, delta, primed)
-                        if within_bounds(idx):
-                            found.add(idx)
-    return sorted(found, key=BasisIndex.sort_key)
+                        raw = make_index(group, shape_x, shape_y, delta, primed)
+                        if index_of_monomial(group, representative_monomial(raw)) == raw:
+                            labels.append(raw)
+    return sorted(labels, key=BasisIndex.sort_key)
 
 
 def expand_basis_function(index: BasisIndex, window: int) -> TruncatedSeries:

@@ -131,6 +131,8 @@ def _load_series(path: str) -> TruncatedSeries:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad series JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("bad series JSON: nested too deeply") from exc
     return TruncatedSeries.from_json_dict(data)
 
 

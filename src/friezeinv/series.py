@@ -195,7 +195,8 @@ class TruncatedSeries:
 
         ``degree`` and ``window`` must be JSON integers, each term an object
         with a monomial string and a coefficient that is a JSON integer or
-        an exact rational string such as ``"-3/2"``.
+        an exact rational string such as ``"-3/2"``; exponent notation such
+        as ``"1e9"`` is rejected.
         """
         if not isinstance(data, Mapping):
             raise ValueError("malformed series object: expected a JSON object")
@@ -217,6 +218,11 @@ class TruncatedSeries:
                 raise ValueError(
                     f"malformed term {n}: coefficient must be an integer or a string, "
                     f"got {coeff!r}"
+                )
+            if isinstance(coeff, str) and "e" in coeff.lower():
+                # Fraction would expand the power of ten in full
+                raise ValueError(
+                    f"malformed term {n}: exponent notation is not allowed, got {coeff!r}"
                 )
             try:
                 value = Fraction(coeff)
@@ -300,7 +306,9 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
     preimage.  margin >= 1 is required so preimages of interior monomials stay
     inside the window (the shift generators move indices by one; reflections
     preserve the symmetric interior), and margin <= window so that the
-    interior holds at least one index.
+    interior holds at least one index.  A nonzero series of which no term and
+    no generator image lies in the interior is rejected too: nothing would be
+    checked.
     """
     if margin < 1:
         raise ValueError("margin must be at least 1")
@@ -312,6 +320,7 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
     if group.alphabet != series.alphabet:
         raise ValueError(f"{group} does not act on alphabet {series.alphabet}")
     interior = series.window - margin
+    examined = False
     for gen in generators(group):
         inv = gen.inverse()
         candidates = set()
@@ -321,9 +330,15 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
             image = act(gen, monomial)
             if fits_window(image, interior):
                 candidates.add(image)
+        examined = examined or bool(candidates)
         for monomial in candidates:
             if series.coefficient(act(inv, monomial)) != series.coefficient(monomial):
                 return False
+    if series._coeffs and not examined:
+        raise ValueError(
+            f"no monomial of the series and none of its generator images lies in the "
+            f"interior [{-interior}, {interior}], so there is nothing to check"
+        )
     return True
 
 

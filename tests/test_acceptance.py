@@ -111,7 +111,7 @@ def test_criterion_2_orbit_partition():
 
 
 def test_criterion_3_stabilizer_oracle_equivalence():
-    with criterion(3, "closed-form stabilizers agree with brute force, words <= 8"):
+    with criterion(3, "coset-table stabilizers agree with brute force, words <= 8"):
         for group in ALL_GROUPS:
             words = ball_words(group, STABILIZER_WORD_LENGTH)
             monomials = [

@@ -289,10 +289,20 @@ def test_stabilizer_f7_order_four():
     assert elems[0] * elems[1] in elems or elems[0] * elems[1] == elems[2]
 
 
+def _oracle_word(element: GroupElement) -> str:
+    """A letter word for the normal form v^a h^b r^c (t|g)^z (shift first)."""
+    letter = element.group.shift_letter
+    flags = "v" * element.v + "h" * element.h + "r" * element.r
+    power = element.power
+    return flags + (letter * power if power >= 0 else letter.upper() * -power)
+
+
 @pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
 def test_stabilizer_matches_brute_force(group):
-    """Closed-form predicate vs exhaustive words (small scope; the acceptance
-    suite runs the full sweep)."""
+    """Coset-table stabilizer vs exhaustive words (small scope; the acceptance
+    suite runs the full sweep).  On translates with |base| up to 40, beyond
+    the word ball, every returned element must fix the monomial letter by
+    letter, and the stabilizer of a shifted monomial is the conjugate one."""
     words = ball_words(group, 8)
     monomials = group_monomials(group, 3, 3, range(-2, 2))
     rng = random.Random(900 + ord(group.value[1]))
@@ -302,8 +312,16 @@ def test_stabilizer_matches_brute_force(group):
             for element, word in words.items()
             if not element.is_identity and oracle_act_word(group, word, m) == m
         }
-        closed = {e for e in stabilizer(group, m) if e in words}
+        elements = stabilizer(group, m)
+        closed = {e for e in elements if e in words}
         assert brute == closed, (m, sorted(map(str, brute)), sorted(map(str, closed)))
+        for z in (-40, -33, -8, 17, 29, 40):
+            s = shift(group, z)
+            image = oracle_act_word(group, _oracle_word(s), m)
+            far = stabilizer(group, image)
+            for e in far:
+                assert oracle_act_word(group, _oracle_word(e), image) == image, (image, str(e))
+            assert set(far) == {s * e * s.inverse() for e in elements}, (m, z)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from friezeinv import (
     FriezeGroup,
     TruncatedSeries,
     composition,
+    elementary_sym,
     expand_basis_function,
     make_index,
 )
@@ -262,3 +263,38 @@ def test_check_margin_beyond_window_is_usage_error(tmp_path, capsys):
     code, out, _ = _check_payload(tmp_path, capsys, payload, "--margin", "2")
     assert code == 1
     assert json.loads(out)["invariant"] is False
+
+
+def test_interior_narrower_than_every_monomial_is_usage_error(tmp_path, capsys):
+    # e_2 at N = 2: the interior [0, 0] holds no product of distinct variables
+    code, out, err = run_cli(
+        capsys, "symfunc", "e", "2", "-N", "2", "--expand-basis", "--margin", "2"
+    )
+    _assert_clean_usage_error(code, out, err)
+    assert "nothing to check" in err
+    payload = elementary_sym(2, 2).to_json_dict()
+    code, out, err = _check_payload(tmp_path, capsys, payload, "--margin", "2")
+    _assert_clean_usage_error(code, out, err)
+    # h_2 has x_0^2 in [0, 0], so it is checked
+    code, _, _ = run_cli(
+        capsys, "symfunc", "h", "2", "-N", "2", "--expand-basis", "--margin", "2"
+    )
+    assert code == 0
+
+
+def test_check_deeply_nested_json_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "series.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "check", "--group", "F1", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+    assert "Traceback" not in err
+
+
+def test_check_exponent_coefficient_is_usage_error(tmp_path, capsys):
+    for coeff in ("1e3", "1e999999999"):
+        payload = _x_payload()
+        payload["terms"][0]["coeff"] = coeff
+        code, out, err = _check_payload(tmp_path, capsys, payload)
+        _assert_clean_usage_error(code, out, err)
+        assert "exponent notation" in err

@@ -184,6 +184,35 @@ def test_empty_interior_is_an_error():
     assert is_invariant(F1, s, 2)
 
 
+def test_interior_narrower_than_every_monomial_is_an_error():
+    # the interior [0, 0] holds no product of two distinct variables, and no
+    # generator image of one, so nothing would be checked
+    e2 = elementary_sym(2, 2)
+    tampered = e2 + TruncatedSeries(ALPHABET_X, 2, 2, {normal_form_x({1: 1, 2: 1}): 5})
+    for series in (e2, tampered):
+        for check in (is_invariant, expand_in_basis):
+            with pytest.raises(ValueError, match="nothing to check"):
+                check(F1, series, 2)
+    # the zero series has nothing to get wrong; h_2 has x_0^2 in [0, 0]
+    assert is_invariant(F1, TruncatedSeries(ALPHABET_X, 2, 2), 2)
+    assert expand_in_basis(F1, TruncatedSeries(ALPHABET_X, 2, 2), 2) == {}
+    assert is_invariant(F1, complete_sym(2, 2), 2)
+    # a term outside the interior whose shift image lies inside is examined
+    assert not is_invariant(F1, x_series(2, -1), 2)
+
+
+def test_json_rejects_exponent_notation():
+    payload = x_series(2, 0).to_json_dict()
+    for coeff in ("1e3", "2E-2", "-1.5e1", "1e999999999"):
+        payload["terms"][0]["coeff"] = coeff
+        with pytest.raises(ValueError, match="exponent notation"):
+            TruncatedSeries.from_json_dict(payload)
+    # plain rationals and decimals stay exact
+    for coeff, value in (("-3/2", Fraction(-3, 2)), ("0.25", Fraction(1, 4))):
+        payload["terms"][0]["coeff"] = coeff
+        assert TruncatedSeries.from_json_dict(payload).coefficient(normal_form_x({0: 1})) == value
+
+
 @st.composite
 def small_series(draw, alphabet, degree, window):
     """A series with few terms over a small window; repeated monomials and

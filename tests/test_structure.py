@@ -24,7 +24,7 @@ from friezeinv import (
 )
 from friezeinv.series import TruncatedSeries
 
-F1, F3, F6 = FriezeGroup.F1, FriezeGroup.F3, FriezeGroup.F6
+F1, F2, F3, F6 = FriezeGroup.F1, FriezeGroup.F2, FriezeGroup.F3, FriezeGroup.F6
 
 
 def test_component_type_examples():
@@ -112,6 +112,19 @@ def test_census_counts_match_burnside(degree, max_parts):
         report = decomposition_census(F6, degree, max_parts, max_delta)
         assert report.line == fixed
         assert report.double == (len(raw) - fixed) / 2
+
+        # F2: the glide maps (sx, sy, delta, p) to (sy, sx, -delta, p+delta+1
+        # mod 2) and g^2 fixes every label; the glide fixes none, since a
+        # label with sx == sy and delta == 0 changes parity
+        primed = [(sx, sy, delta, p) for sx, sy, delta in raw for p in (0, 1)]
+        glide_fixed = sum(
+            1
+            for sx, sy, delta, p in primed
+            if (sy, sx, -delta, (p + delta + 1) % 2) == (sx, sy, delta, p)
+        )
+        assert len(enumerate_indices(F2, degree, max_parts, max_delta)) == (
+            len(primed) + glide_fixed
+        ) / 2
 
 
 def test_census_json_shape():
