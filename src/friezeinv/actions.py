@@ -20,32 +20,25 @@ a two-alphabet monomial has the x block (base, shape_x) and the y block
     swaps combine by XOR.
   * Block reflection: v and r map each block (b, s) to (-b-m-1, rev s).
 
-Swap and reflection commute.  The image is rebuilt from the two block bases:
-the x block's base is the new base and the y block's base minus it the new
-delta, with the pure-x, pure-y and unit conventions of ``monomials``.
+Swap and reflection commute.  The image is rebuilt from its two blocks by
+``monomials.from_blocks``.  An orbit is the set of translates (by t, or by g^2
+for the glide groups) of the images under the translation-coset
+representatives, so only ``act_xy`` knows that an odd power of g swaps blocks.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
-from .compositions import EMPTY, Composition
+from .compositions import Composition
 from .groups import FriezeGroup, GroupElement, generator, identity, shift
-from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY
+from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, from_blocks
 
 
 def _reflect(base: int, shape: Composition) -> tuple[int, Composition]:
     """Block reflection (b, s) -> (-b-m-1, rev s)."""
     return -base - len(shape.parts) - 1, shape.reverse()
-
-
-def _xy_from_blocks(bx: int, sx: Composition, by: int, sy: Composition) -> MonomialXY:
-    """Two-alphabet normal form of a nonunit pair of blocks."""
-    if not sy.parts:
-        return MonomialXY(bx, sx, EMPTY, 0)
-    if not sx.parts:
-        return MonomialXY(by, EMPTY, sy, 0)
-    return MonomialXY(bx, sx, sy, by - bx)
 
 
 def act_x(element: GroupElement, monomial: MonomialX) -> MonomialX:
@@ -79,7 +72,7 @@ def act_xy(element: GroupElement, monomial: MonomialXY) -> MonomialXY:
         by, sy = _reflect(by, sy)
     if element.h ^ element.r ^ (element.group.uses_glide and z % 2 == 1):
         bx, sx, by, sy = by, sy, bx, sx
-    return _xy_from_blocks(bx, sx, by, sy)
+    return from_blocks(bx, sx, by, sy)
 
 
 def act(element: GroupElement, monomial: Monomial) -> Monomial:
@@ -121,24 +114,15 @@ def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[
         raise ValueError("window must be non-negative")
     if monomial.is_unit:
         return {monomial}
+    step = 2 if group.uses_glide else 1
     out: set[Monomial] = set()
-    for rep in orbit_coset_representatives(group):
+    for rep in translation_coset_representatives(group):
         image = act(rep, monomial)
         lo, hi = image.support()
-        # shifting by z moves the support to [lo+z, hi+z]
-        shifts = range(-window - lo, window - hi + 1)
-        if isinstance(image, MonomialX):
-            out.update(MonomialX(image.base + z, image.shape) for z in shifts)
-            continue
-        # an odd glide power also swaps the blocks, which keeps the support
-        odd = image
-        if group.uses_glide:
-            odd = _xy_from_blocks(
-                image.base + image.delta, image.shape_y, image.base, image.shape_x
-            )
-        for z in shifts:
-            source = odd if z % 2 else image
-            out.add(MonomialXY(source.base + z, source.shape_x, source.shape_y, source.delta))
+        # translating by z moves the support to [lo+z, hi+z]; z is a multiple of step
+        first = -window - lo
+        first += first % step
+        out.update(replace(image, base=image.base + z) for z in range(first, window - hi + 1, step))
     return out
 
 

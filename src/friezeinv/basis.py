@@ -159,8 +159,8 @@ def expand_basis_function(index: BasisIndex, window: int) -> TruncatedSeries:
             f"window {window} is too small for the representative monomial {rep}"
         )
     orbit = orbit_in_window(index.group, rep, window)
-    return TruncatedSeries(
-        index.group.alphabet, index.degree, window, {monomial: 1 for monomial in orbit}
+    return TruncatedSeries._trusted(
+        index.group.alphabet, index.degree, window, dict.fromkeys(orbit, Fraction(1))
     )
 
 

@@ -138,10 +138,6 @@ def _load_series(path: str) -> TruncatedSeries:
 
 def _cmd_check(args) -> int:
     series = _load_series(args.series)
-    if series.alphabet != args.group.alphabet:
-        raise ParseError(
-            f"series alphabet {series.alphabet} does not match {args.group.value}"
-        )
     ok = is_invariant(args.group, series, args.margin)
     _print_json(
         {

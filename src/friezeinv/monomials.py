@@ -135,35 +135,32 @@ def _clean_exponents(mapping: Mapping[int, int]) -> dict[int, int]:
 
 
 def _block(exps: dict[int, int]) -> tuple[int, Composition]:
-    """Base and shape of one nonempty exponent block."""
+    """Base and shape of one exponent block; the empty block is (0, EMPTY)."""
+    if not exps:
+        return 0, EMPTY
     lo, hi = min(exps), max(exps)
     return lo - 1, Composition(tuple(exps.get(i, 0) for i in range(lo, hi + 1)))
 
 
+def from_blocks(bx: int, sx: Composition, by: int, sy: Composition) -> MonomialXY:
+    """Two-alphabet normal form of an x block (bx, sx) and a y block (by, sy)
+    under the conventions above; two empty blocks must both have base 0."""
+    if not sy.parts:
+        return MonomialXY(bx, sx, EMPTY, 0)
+    if not sx.parts:
+        return MonomialXY(by, EMPTY, sy, 0)
+    return MonomialXY(bx, sx, sy, by - bx)
+
+
 def normal_form_x(exponents: Mapping[int, int]) -> MonomialX:
     """Normal form of a one-alphabet exponent map; the empty map gives the unit."""
-    exps = _clean_exponents(exponents)
-    if not exps:
-        return UNIT_X
-    base, shape = _block(exps)
-    return MonomialX(base, shape)
+    return MonomialX(*_block(_clean_exponents(exponents)))
 
 
 def normal_form_xy(x_exponents: Mapping[int, int], y_exponents: Mapping[int, int]) -> MonomialXY:
     """Normal form of a two-alphabet exponent pair (see module docstring)."""
-    xs = _clean_exponents(x_exponents)
-    ys = _clean_exponents(y_exponents)
-    if not xs and not ys:
-        return UNIT_XY
-    if xs and not ys:
-        base, shape = _block(xs)
-        return MonomialXY(base, shape, EMPTY, 0)
-    if ys and not xs:
-        base, shape = _block(ys)
-        return MonomialXY(base, EMPTY, shape, 0)
-    base, shape_x = _block(xs)
-    y_base, shape_y = _block(ys)
-    return MonomialXY(base, shape_x, shape_y, y_base - base)
+    xs, ys = _clean_exponents(x_exponents), _clean_exponents(y_exponents)
+    return from_blocks(*_block(xs), *_block(ys))
 
 
 def format_monomial(monomial: Monomial) -> str:

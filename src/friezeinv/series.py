@@ -11,6 +11,7 @@ interior margin.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Union
 
 from .actions import act
@@ -21,7 +22,6 @@ from .monomials import (
     Monomial,
     MonomialX,
     MonomialXY,
-    UNIT_X,
     fits_window,
     normal_form_x,
     normal_form_xy,
@@ -342,32 +342,23 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
     return True
 
 
-def elementary_sym(r: int, window: int) -> TruncatedSeries:
-    """Sum of all products of r distinct variables inside the window."""
-    from itertools import combinations
-
+def _symmetric(r: int, window: int, choose) -> TruncatedSeries:
+    """Sum over the index tuples ``choose(range(-window, window + 1), r)``
+    of the monomial with those indices; r = 0 gives the unit."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    if r == 0:
-        return TruncatedSeries(ALPHABET_X, 0, window, {UNIT_X: 1})
-    terms = {}
-    for indices in combinations(range(-window, window + 1), r):
-        terms[normal_form_x({i: 1 for i in indices})] = 1
+    terms = {
+        normal_form_x({i: indices.count(i) for i in indices}): 1
+        for indices in choose(range(-window, window + 1), r)
+    }
     return TruncatedSeries(ALPHABET_X, r, window, terms)
+
+
+def elementary_sym(r: int, window: int) -> TruncatedSeries:
+    """Sum of all products of r distinct variables inside the window."""
+    return _symmetric(r, window, combinations)
 
 
 def complete_sym(r: int, window: int) -> TruncatedSeries:
     """Sum of all monomials of total degree r inside the window."""
-    from itertools import combinations_with_replacement
-
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    if r == 0:
-        return TruncatedSeries(ALPHABET_X, 0, window, {UNIT_X: 1})
-    terms = {}
-    for indices in combinations_with_replacement(range(-window, window + 1), r):
-        exps: dict[int, int] = {}
-        for i in indices:
-            exps[i] = exps.get(i, 0) + 1
-        terms[normal_form_x(exps)] = 1
-    return TruncatedSeries(ALPHABET_X, r, window, terms)
+    return _symmetric(r, window, combinations_with_replacement)

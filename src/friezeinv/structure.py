@@ -10,14 +10,14 @@ counts components per canonical label within enumeration bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .basis import BasisIndex, enumerate_indices
+from .basis import BasisIndex, enumerate_indices, representative_monomial
 from .groups import FriezeGroup
-from .monomials import Monomial, MonomialX, MonomialXY
+from .monomials import Monomial, MonomialXY
 from .series import Scalar, TruncatedSeries, as_fraction
 
 
@@ -75,9 +75,7 @@ def decomposition_census(
 
 
 def _line_monomial(index: BasisIndex, position: int) -> Monomial:
-    if index.group is FriezeGroup.F1:
-        return MonomialX(position, index.shape_x)
-    return MonomialXY(position, index.shape_x, index.shape_x, 0)
+    return replace(representative_monomial(index), base=position)
 
 
 def embed_line(

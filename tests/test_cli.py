@@ -127,8 +127,10 @@ def test_check_alphabet_mismatch(tmp_path, capsys):
     series = expand_basis_function(make_index(FriezeGroup.F1, composition(1)), 3)
     path = tmp_path / "x.json"
     path.write_text(json.dumps(series.to_json_dict()))
-    code, _, err = run_cli(capsys, "check", "--group", "F6", str(path))
+    code, out, err = run_cli(capsys, "check", "--group", "F6", str(path))
     assert code == 2
+    assert out == ""
+    assert err.strip()
 
 
 def test_census_f6_odd_degree(capsys):
@@ -251,6 +253,11 @@ def test_symfunc_margin_beyond_window_is_usage_error(capsys):
     )
     _assert_clean_usage_error(code, out, err)
     assert "interior is empty" in err
+
+
+def test_symfunc_negative_degree_is_usage_error(capsys):
+    for kind in ("e", "h"):
+        _assert_clean_usage_error(*run_cli(capsys, "symfunc", kind, "-1", "-N", "2"))
 
 
 def test_check_margin_beyond_window_is_usage_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from friezeinv import (
     complete_sym,
     composition,
     elementary_sym,
+    enumerate_indices,
     expand_basis_function,
     expand_in_basis,
     generator,
@@ -266,6 +267,10 @@ def test_library_built_series_pass_the_validating_constructor(abc, factor, windo
         a.project(min(window, a.window)),
         act_series(element, a),
     ]
+    # orbit sums of every group, at windows that hold every representative
+    for label_group in FriezeGroup:
+        label = data.draw(st.sampled_from(enumerate_indices(label_group, a.degree, 2, 1)))
+        results.append(expand_basis_function(label, window + 3))
     for result in results:
         assert _rebuilt(result) == result
 def test_elementary_examples():
@@ -287,6 +292,17 @@ def test_complete_examples():
     )
     assert h2 == elementary_sym(2, 1) + squares
     assert all(c == 1 for _, c in h2.terms())
+
+
+@pytest.mark.parametrize("build", [elementary_sym, complete_sym])
+def test_symmetric_function_edge_cases(build):
+    assert build(0, 3) == TruncatedSeries(ALPHABET_X, 0, 3, {UNIT_X: 1})
+    with pytest.raises(ValueError):
+        build(-1, 2)
+    with pytest.raises(ValueError):
+        build(2, -1)
+    with pytest.raises(ValueError):
+        build(0, -1)
 
 
 def test_symmetric_functions_are_invariant():
