@@ -20,59 +20,51 @@ a two-alphabet monomial has the x block (base, shape_x) and the y block
     swaps combine by XOR.
   * Block reflection: v and r map each block (b, s) to (-b-m-1, rev s).
 
-Swap and reflection commute.  The image is rebuilt from its two blocks by
-``monomials.from_blocks``.  An orbit is the set of translates (by t, or by g^2
-for the glide groups) of the images under the translation-coset
-representatives, so only ``act_xy`` knows that an odd power of g swaps blocks.
+Swap and reflection commute.  ``_moves`` reads the three moves off an
+element, so only it knows that an odd power of g swaps blocks;
+``monomials._image`` does the arithmetic on (base, shape_x, shape_y, delta)
+tuples, a one-alphabet monomial being an x block with an empty y block.  The
+image of a normal form is a normal form, so images and their translates are
+built without re-validation.  An orbit is the set of translates (by t, or by
+g^2 for the glide groups) of the images under the translation-coset
+representatives.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 
-from .compositions import Composition
+from .compositions import EMPTY
 from .groups import FriezeGroup, GroupElement, generator, identity, shift
-from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, from_blocks
+from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image, _trusted
 
 
-def _reflect(base: int, shape: Composition) -> tuple[int, Composition]:
-    """Block reflection (b, s) -> (-b-m-1, rev s)."""
-    return -base - len(shape.parts) - 1, shape.reverse()
+def _moves(element: GroupElement) -> tuple[int, bool, bool]:
+    """The element's (shift, reflect, swap) arguments of ``_image``."""
+    z = element.power
+    swap = element.h ^ element.r ^ (element.group.uses_glide and z % 2 == 1)
+    return z, element.v or element.r, swap
 
 
 def act_x(element: GroupElement, monomial: MonomialX) -> MonomialX:
     """Image of a one-alphabet monomial under an element of F1 or F3."""
-    if element.group not in (FriezeGroup.F1, FriezeGroup.F3):
+    if element.group.alphabet != ALPHABET_X:
         raise ValueError(f"{element.group} does not act on the one-alphabet ring")
     if not isinstance(monomial, MonomialX):
         raise TypeError("act_x expects a one-alphabet monomial")
-    if not monomial.shape.parts:
-        return monomial
-    base, shape = monomial.base + element.power, monomial.shape
-    if element.v:
-        base, shape = _reflect(base, shape)
-    return MonomialX(base, shape)
+    # F1 and F3 have no block swap
+    fields = monomial.base, monomial.shape, EMPTY, 0
+    return _trusted(MonomialX, *_image(*fields, element.power, element.v))
 
 
 def act_xy(element: GroupElement, monomial: MonomialXY) -> MonomialXY:
     """Image of a two-alphabet monomial under an element of F2, F4, F5, F6 or F7."""
-    if element.group in (FriezeGroup.F1, FriezeGroup.F3):
+    if element.group.alphabet == ALPHABET_X:
         raise ValueError(f"{element.group} does not act on the two-alphabet ring")
     if not isinstance(monomial, MonomialXY):
         raise TypeError("act_xy expects a two-alphabet monomial")
-    sx, sy = monomial.shape_x, monomial.shape_y
-    if not (sx.parts or sy.parts):
-        return monomial
-    z = element.power
-    bx = monomial.base + z
-    by = bx + monomial.delta
-    if element.v or element.r:
-        bx, sx = _reflect(bx, sx)
-        by, sy = _reflect(by, sy)
-    if element.h ^ element.r ^ (element.group.uses_glide and z % 2 == 1):
-        bx, sx, by, sy = by, sy, bx, sx
-    return from_blocks(bx, sx, by, sy)
+    fields = monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta
+    return _trusted(MonomialXY, *_image(*fields, *_moves(element)))
 
 
 def act(element: GroupElement, monomial: Monomial) -> Monomial:
@@ -114,15 +106,16 @@ def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[
         raise ValueError("window must be non-negative")
     if monomial.is_unit:
         return {monomial}
-    step = 2 if group.uses_glide else 1
+    step, cls = (2 if group.uses_glide else 1), type(monomial)
     out: set[Monomial] = set()
     for rep in translation_coset_representatives(group):
         image = act(rep, monomial)
+        base, *shapes = _fields(image)
         lo, hi = image.support()
         # translating by z moves the support to [lo+z, hi+z]; z is a multiple of step
         first = -window - lo
         first += first % step
-        out.update(replace(image, base=image.base + z) for z in range(first, window - hi + 1, step))
+        out.update(_trusted(cls, base + z, *shapes) for z in range(first, window - hi + 1, step))
     return out
 
 

@@ -8,10 +8,10 @@ representative's base index is even (unprimed) or odd (primed).
 
 Several raw labels can name the same orbit (reversal for F3, shape swaps with
 an offset adjustment for F4/F6/F7, the parity-coupled swap families for
-F2/F5).  Canonicalization acts by every translation-coset representative
-and keeps the image whose label tuple (parityClass, shapeX, shapeY, delta)
-is lexicographically least; this generates the full equivalence class
-without case analysis.
+F2/F5).  The canonical label has the least key (primed, shape_x parts,
+shape_y parts, delta) over the images of a representative under the
+translation-coset representatives, computed by the block kernel
+``monomials._image`` on plain tuples; only the chosen label is built.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import act, orbit_in_window, translation_coset_representatives
+from .actions import _moves, orbit_in_window, translation_coset_representatives
 from .compositions import EMPTY, Composition, compositions_of, parse_composition
 from .errors import ParseError
 from .groups import FriezeGroup
-from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, fits_window
+from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image, fits_window
 from .series import TruncatedSeries, is_invariant
 
 
@@ -87,17 +87,13 @@ def index_of_monomial(group: FriezeGroup, monomial: Monomial) -> BasisIndex:
     """The unique basis label whose orbit contains the monomial."""
     if monomial.is_unit:
         raise ValueError("the unit monomial has no basis label")
-    images = [act(rep, monomial) for rep in translation_coset_representatives(group)]
-    if isinstance(monomial, MonomialX):
-        return BasisIndex(group, min(images, key=lambda image: image.shape.parts).shape)
+    fields = _fields(monomial)
     glide = group.uses_glide
-
-    def key(image: MonomialXY) -> tuple:
-        primed = glide and image.base % 2 == 1
-        return (primed, image.shape_x.parts, image.shape_y.parts, image.delta)
-
-    best = min(images, key=key)
-    return BasisIndex(group, best.shape_x, best.shape_y, best.delta, primed=key(best)[0])
+    images = (_image(*fields, *_moves(rep)) for rep in translation_coset_representatives(group))
+    primed, parts_x, parts_y, delta = min(
+        (glide and base % 2 == 1, sx.parts, sy.parts, d) for base, sx, sy, d in images
+    )
+    return BasisIndex(group, Composition(parts_x), Composition(parts_y), delta, primed)
 
 
 def canonical_index(
@@ -122,17 +118,22 @@ def enumerate_indices(
     ``max_parts`` parts and whose offset satisfies |delta| <= max_abs_delta,
     in deterministic order.
 
-    Every raw label inside the bounds is kept when it is its own canonical
-    form (the canonicity test of orderly generation); canonicalization is
-    idempotent and every canonical label inside the bounds is such a raw
+    A raw label inside the bounds is kept unless some translation-coset image
+    of its representative has a smaller key (the canonicity test of orderly
+    generation); the test stops at the first smaller image.  Canonicalization
+    is idempotent and every canonical label inside the bounds is such a raw
     label, so each orbit is listed exactly once."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
+    if max_abs_delta < 0:
+        raise ValueError("max_abs_delta must be non-negative")
     # one alphabet is the case order_x == degree: empty y shape, no offset
     orders = range(degree + 1) if group.alphabet != ALPHABET_X else (degree,)
-    parities = (False, True) if group.uses_glide else (False,)
+    glide = group.uses_glide
+    parities = (False, True) if glide else (False,)
+    moves = [_moves(rep) for rep in translation_coset_representatives(group)[1:]]
     labels: list[BasisIndex] = []
     for order_x in orders:
         for shape_x in compositions_of(order_x, max_parts):
@@ -141,9 +142,14 @@ def enumerate_indices(
                 deltas = (0,) if degenerate else range(-max_abs_delta, max_abs_delta + 1)
                 for delta in deltas:
                     for primed in parities:
-                        raw = make_index(group, shape_x, shape_y, delta, primed)
-                        if index_of_monomial(group, representative_monomial(raw)) == raw:
-                            labels.append(raw)
+                        key = (primed, shape_x.parts, shape_y.parts, delta)
+                        base = -1 if primed else 0  # as in representative_monomial
+                        for move in moves:
+                            b, sx, sy, d = _image(base, shape_x, shape_y, delta, *move)
+                            if (glide and b % 2 == 1, sx.parts, sy.parts, d) < key:
+                                break
+                        else:
+                            labels.append(BasisIndex(group, shape_x, shape_y, delta, primed))
     return sorted(labels, key=BasisIndex.sort_key)
 
 

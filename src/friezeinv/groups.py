@@ -33,12 +33,12 @@ class FriezeGroup(Enum):
 
     @property
     def alphabet(self) -> str:
-        return ALPHABET_X if self in (FriezeGroup.F1, FriezeGroup.F3) else ALPHABET_XY
+        return ALPHABET_X if self in _ONE_ALPHABET else ALPHABET_XY
 
     @property
     def uses_glide(self) -> bool:
         """True for the two groups whose shift generator is a glide reflection."""
-        return self in (FriezeGroup.F2, FriezeGroup.F5)
+        return self in _GLIDE
 
     @property
     def shift_letter(self) -> str:
@@ -52,6 +52,9 @@ class FriezeGroup(Enum):
         return self.value
 
 
+# member tables: looking a member up on the class costs more than hashing one
+_ONE_ALPHABET = frozenset((FriezeGroup.F1, FriezeGroup.F3))
+_GLIDE = frozenset((FriezeGroup.F2, FriezeGroup.F5))
 _FLAGS = {
     FriezeGroup.F1: frozenset(),
     FriezeGroup.F2: frozenset(),

@@ -142,14 +142,56 @@ def _block(exps: dict[int, int]) -> tuple[int, Composition]:
     return lo - 1, Composition(tuple(exps.get(i, 0) for i in range(lo, hi + 1)))
 
 
-def from_blocks(bx: int, sx: Composition, by: int, sy: Composition) -> MonomialXY:
-    """Two-alphabet normal form of an x block (bx, sx) and a y block (by, sy)
-    under the conventions above; two empty blocks must both have base 0."""
-    if not sy.parts:
-        return MonomialXY(bx, sx, EMPTY, 0)
-    if not sx.parts:
-        return MonomialXY(by, EMPTY, sy, 0)
-    return MonomialXY(bx, sx, sy, by - bx)
+def _fields(monomial: Monomial) -> tuple[int, Composition, Composition, int]:
+    """(base, shape_x, shape_y, delta); a one-alphabet monomial is an x block
+    with an empty y block."""
+    if isinstance(monomial, MonomialX):
+        return monomial.base, monomial.shape, EMPTY, 0
+    return monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta
+
+
+def _image(
+    base: int, shape_x: Composition, shape_y: Composition, delta: int,
+    shift: int = 0, reflect: bool = False, swap: bool = False,
+) -> tuple[int, Composition, Composition, int]:
+    """Normal-form fields of the image of the blocks (base, shape_x) and
+    (base + delta, shape_y): shift both bases, then reflect each block
+    (b, s) -> (-b-m-1, rev s), then exchange the blocks, then apply the
+    conventions above.  With no move it is the normal form of two blocks."""
+    if not (shape_x.parts or shape_y.parts):
+        return 0, shape_x, shape_y, 0
+    bx = base + shift
+    by = bx + delta
+    if reflect:
+        bx, shape_x = -bx - len(shape_x.parts) - 1, shape_x.reverse()
+        by, shape_y = -by - len(shape_y.parts) - 1, shape_y.reverse()
+    if swap:
+        bx, shape_x, by, shape_y = by, shape_y, bx, shape_x
+    if not shape_y.parts:
+        return bx, shape_x, shape_y, 0
+    if not shape_x.parts:
+        return by, shape_x, shape_y, 0
+    return bx, shape_x, shape_y, by - bx
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def _trusted(
+    cls: type, base: int, shape_x: Composition, shape_y: Composition, delta: int
+) -> Monomial:
+    """A monomial from fields that are already a normal form, such as an
+    ``_image`` of one or its translate, built without the checks of
+    ``__post_init__``; a one-alphabet class keeps only the x block."""
+    out = _new(cls)
+    _set(out, "base", base)
+    if cls is MonomialX:
+        _set(out, "shape", shape_x)
+        return out
+    _set(out, "shape_x", shape_x)
+    _set(out, "shape_y", shape_y)
+    _set(out, "delta", delta)
+    return out
 
 
 def normal_form_x(exponents: Mapping[int, int]) -> MonomialX:
@@ -159,8 +201,9 @@ def normal_form_x(exponents: Mapping[int, int]) -> MonomialX:
 
 def normal_form_xy(x_exponents: Mapping[int, int], y_exponents: Mapping[int, int]) -> MonomialXY:
     """Normal form of a two-alphabet exponent pair (see module docstring)."""
-    xs, ys = _clean_exponents(x_exponents), _clean_exponents(y_exponents)
-    return from_blocks(*_block(xs), *_block(ys))
+    bx, sx = _block(_clean_exponents(x_exponents))
+    by, sy = _block(_clean_exponents(y_exponents))
+    return MonomialXY(*_image(bx, sx, sy, by - bx))
 
 
 def format_monomial(monomial: Monomial) -> str:

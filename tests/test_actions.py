@@ -162,6 +162,24 @@ def test_act_matches_letter_oracle(case):
     assert image == expected
 
 
+def _renormalized(monomial):
+    if isinstance(monomial, MonomialX):
+        return normal_form_x(monomial.exponents())
+    return normal_form_xy(*monomial.exponents())
+
+
+@settings(max_examples=500, deadline=None)
+@given(elements_and_monomials(), st.integers(0, 4))
+def test_images_and_translates_are_normal_forms(case, window):
+    """act and orbit_in_window build their results without the constructor's
+    checks; each result must still be the normal form of its own exponents."""
+    element, monomial = case
+    for image in [act(element, monomial), *orbit_in_window(element.group, monomial, window)]:
+        expected = _renormalized(image)
+        assert type(image) is type(expected)
+        assert image == expected and hash(image) == hash(expected), image
+
+
 @settings(max_examples=500, deadline=None)
 @given(exponent_maps, exponent_maps)
 def test_support_matches_exponents(xs, ys):

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from friezeinv import (
+    ALPHABET_X,
     EMPTY,
     BasisIndex,
     FriezeGroup,
+    MonomialX,
     canonical_index,
     composition,
+    compositions_of,
     enumerate_indices,
     expand_basis_function,
     expand_in_basis,
@@ -21,7 +24,7 @@ from friezeinv import (
     representative_monomial,
 )
 from friezeinv.errors import ParseError
-from conftest import group_monomials
+from conftest import brute_orbit_in_window, group_monomials
 
 F1, F2, F3, F4, F5, F6, F7 = FriezeGroup
 
@@ -184,6 +187,80 @@ def test_enumerate_is_canonical_and_sorted(any_group):
     for idx in indices:
         assert canonical_index(group, idx.shape_x, idx.shape_y, idx.delta, idx.primed) == idx
         assert idx.degree == 3
+
+
+def test_enumerate_rejects_bad_bounds():
+    with pytest.raises(ValueError):
+        enumerate_indices(F6, 2, 0)
+    with pytest.raises(ValueError):
+        enumerate_indices(F6, 2, 1, -3)
+    with pytest.raises(ValueError):
+        enumerate_indices(F1, 2, 1, -1)
+
+
+# ---------------------------------------------------------------------------
+# brute-force canonical-label oracle: the least label key over the orbit
+# itself, exhausted by letter words at a window wide enough to hold a
+# translate of every member
+# ---------------------------------------------------------------------------
+
+def _label_key(group: FriezeGroup, monomial) -> tuple:
+    """(primed, x parts, y parts, delta) read off one orbit member."""
+    if isinstance(monomial, MonomialX):
+        return (False, monomial.shape.parts, (), 0)
+    primed = group.uses_glide and monomial.base % 2 == 1
+    return (primed, monomial.shape_x.parts, monomial.shape_y.parts, monomial.delta)
+
+
+def oracle_label(group: FriezeGroup, monomial, memo: dict) -> BasisIndex:
+    """Least label over the brute-force orbit; every orbit member it meets
+    is memoized with the same label."""
+    if monomial not in memo:
+        window = monomial.span + abs(getattr(monomial, "delta", 0))
+        orbit = brute_orbit_in_window(group, monomial, window)
+        primed, parts_x, parts_y, delta = min(_label_key(group, m) for m in orbit)
+        label = make_index(group, composition(*parts_x), composition(*parts_y), delta, primed)
+        memo.update(dict.fromkeys(orbit, label))
+        memo[monomial] = label
+    return memo[monomial]
+
+
+def _raw_representatives(group: FriezeGroup, degree: int, max_parts: int, max_delta: int):
+    """Representatives of every raw label inside the bounds."""
+    orders = (degree,) if group.alphabet == ALPHABET_X else range(degree + 1)
+    parities = (False, True) if group.uses_glide else (False,)
+    for order_x in orders:
+        for sx in compositions_of(order_x, max_parts):
+            for sy in compositions_of(degree - order_x, max_parts):
+                two_blocks = sx.parts and sy.parts
+                for delta in range(-max_delta, max_delta + 1) if two_blocks else (0,):
+                    for primed in parities:
+                        raw = make_index(group, sx, sy, delta, primed)
+                        yield representative_monomial(raw)
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_index_of_monomial_matches_brute_force(group):
+    memo: dict = {}
+    for m in group_monomials(group, 3, 3, range(-2, 1)):
+        assert index_of_monomial(group, m) == oracle_label(group, m, memo), m
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_enumerate_matches_brute_force(group):
+    memo: dict = {}
+    for degree in range(1, 6):
+        for max_parts in range(1, 4):
+            for max_delta in range(3):
+                expected = set()
+                for rep in _raw_representatives(group, degree, max_parts, max_delta):
+                    label = oracle_label(group, rep, memo)
+                    parts = max(label.shape_x.num_parts, label.shape_y.num_parts)
+                    if parts <= max_parts and abs(label.delta) <= max_delta:
+                        expected.add(label)
+                got = enumerate_indices(group, degree, max_parts, max_delta)
+                assert len(got) == len(expected), (degree, max_parts, max_delta)
+                assert set(got) == expected, (degree, max_parts, max_delta)
 
 
 def test_expand_examples():

@@ -143,6 +143,16 @@ def test_census_f6_odd_degree(capsys):
     assert payload["DOUBLE"] > 0
 
 
+def test_census_negative_max_delta_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "census", "--group", "F6", "-k", "2", "--max-parts", "1", "--max-delta", "-3"
+    )
+    assert code == 2
+    assert out == ""
+    assert "max_abs_delta" in err
+    assert "Traceback" not in err
+
+
 def test_symfunc_expand_basis(capsys):
     code, out, _ = run_cli(
         capsys, "symfunc", "e", "2", "-N", "4", "--expand-basis", "--group", "F1"
