@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .compositions import EMPTY
 from .groups import FriezeGroup, GroupElement, generator, identity, shift
 from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image, _trusted
 
@@ -52,9 +51,7 @@ def act_x(element: GroupElement, monomial: MonomialX) -> MonomialX:
         raise ValueError(f"{element.group} does not act on the one-alphabet ring")
     if not isinstance(monomial, MonomialX):
         raise TypeError("act_x expects a one-alphabet monomial")
-    # F1 and F3 have no block swap
-    fields = monomial.base, monomial.shape, EMPTY, 0
-    return _trusted(MonomialX, *_image(*fields, element.power, element.v))
+    return _trusted(type(monomial), *_image(*_fields(monomial), *_moves(element)))
 
 
 def act_xy(element: GroupElement, monomial: MonomialXY) -> MonomialXY:
@@ -63,8 +60,7 @@ def act_xy(element: GroupElement, monomial: MonomialXY) -> MonomialXY:
         raise ValueError(f"{element.group} does not act on the two-alphabet ring")
     if not isinstance(monomial, MonomialXY):
         raise TypeError("act_xy expects a two-alphabet monomial")
-    fields = monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta
-    return _trusted(MonomialXY, *_image(*fields, *_moves(element)))
+    return _trusted(type(monomial), *_image(*_fields(monomial), *_moves(element)))
 
 
 def act(element: GroupElement, monomial: Monomial) -> Monomial:
@@ -98,6 +94,12 @@ def translation_coset_representatives(group: FriezeGroup) -> tuple[GroupElement,
     if not group.uses_glide:
         return reps
     return tuple(rep * shift(group, parity) for rep in reps for parity in (0, 1))
+
+
+@lru_cache(maxsize=None)
+def _coset_moves(group: FriezeGroup) -> tuple[tuple[int, bool, bool], ...]:
+    """The ``_moves`` of the translation-coset representatives."""
+    return tuple(_moves(rep) for rep in translation_coset_representatives(group))
 
 
 def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[Monomial]:

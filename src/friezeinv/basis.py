@@ -20,11 +20,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import _moves, orbit_in_window, translation_coset_representatives
+from .actions import _coset_moves, orbit_in_window
 from .compositions import EMPTY, Composition, compositions_of, parse_composition
 from .errors import ParseError
 from .groups import FriezeGroup
-from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image, fits_window
+from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, fits_window
+from .monomials import _fields, _image, _trusted
 from .series import TruncatedSeries, is_invariant
 
 
@@ -37,13 +38,15 @@ class BasisIndex:
     primed: bool = False
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
+        # a composition has order 0 exactly when it has no parts
+        x, y = self.shape_x.parts, self.shape_y.parts
+        if not (x or y):
             raise ValueError("basis labels require total order >= 1")
         if self.group.alphabet == ALPHABET_X:
-            if not self.shape_y.is_empty or self.delta != 0 or self.primed:
+            if y or self.delta != 0 or self.primed:
                 raise ValueError(f"{self.group} labels carry a single shape")
         else:
-            if (self.shape_x.order == 0 or self.shape_y.order == 0) and self.delta != 0:
+            if not (x and y) and self.delta != 0:
                 raise ValueError("delta must be 0 when either shape has order 0")
             if self.primed and not self.group.uses_glide:
                 raise ValueError(f"{self.group} labels have no parity class")
@@ -53,10 +56,15 @@ class BasisIndex:
         return self.shape_x.order + self.shape_y.order
 
     def sort_key(self) -> tuple:
-        return (self.primed, self.shape_x.parts, self.shape_y.parts, self.delta)
+        return _label_key(self.primed, self.shape_x, self.shape_y, self.delta)
 
     def __str__(self) -> str:
         return format_basis_label(self)
+
+
+def _label_key(primed: bool, shape_x: Composition, shape_y: Composition, delta: int) -> tuple:
+    """The order on labels: the canonical label is the least, listings are sorted."""
+    return (primed, shape_x.parts, shape_y.parts, delta)
 
 
 def make_index(
@@ -77,23 +85,22 @@ def make_index(
 
 
 def representative_monomial(index: BasisIndex) -> Monomial:
-    """The orbit member the label abbreviates: base 0, or base -1 when primed."""
-    if index.group.alphabet == ALPHABET_X:
-        return MonomialX(0, index.shape_x)
-    return MonomialXY(-1 if index.primed else 0, index.shape_x, index.shape_y, index.delta)
+    """The orbit member the label abbreviates: base 0, or base -1 when primed.
+    A valid label's fields are a normal form, so it is built unchecked."""
+    cls = MonomialX if index.group.alphabet == ALPHABET_X else MonomialXY
+    return _trusted(cls, -1 if index.primed else 0, index.shape_x, index.shape_y, index.delta)
 
 
 def index_of_monomial(group: FriezeGroup, monomial: Monomial) -> BasisIndex:
     """The unique basis label whose orbit contains the monomial."""
     if monomial.is_unit:
         raise ValueError("the unit monomial has no basis label")
-    fields = _fields(monomial)
-    glide = group.uses_glide
-    images = (_image(*fields, *_moves(rep)) for rep in translation_coset_representatives(group))
-    primed, parts_x, parts_y, delta = min(
-        (glide and base % 2 == 1, sx.parts, sy.parts, d) for base, sx, sy, d in images
+    fields, glide = _fields(monomial), group.uses_glide
+    images = (_image(*fields, *move) for move in _coset_moves(group))
+    base, shape_x, shape_y, delta = min(
+        images, key=lambda f: _label_key(glide and f[0] % 2 == 1, f[1], f[2], f[3])
     )
-    return BasisIndex(group, Composition(parts_x), Composition(parts_y), delta, primed)
+    return BasisIndex(group, shape_x, shape_y, delta, glide and base % 2 == 1)
 
 
 def canonical_index(
@@ -118,11 +125,12 @@ def enumerate_indices(
     ``max_parts`` parts and whose offset satisfies |delta| <= max_abs_delta,
     in deterministic order.
 
-    A raw label inside the bounds is kept unless some translation-coset image
-    of its representative has a smaller key (the canonicity test of orderly
-    generation); the test stops at the first smaller image.  Canonicalization
-    is idempotent and every canonical label inside the bounds is such a raw
-    label, so each orbit is listed exactly once."""
+    Every raw label inside the bounds is kept when it is its own canonical
+    form (the canonicity test of orderly generation); canonicalization is
+    idempotent and every canonical label inside the bounds is such a raw
+    label, so each orbit is listed exactly once.  ``index_of_monomial``
+    compares the kernel images as plain tuples and builds only the label it
+    returns."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if max_parts < 1:
@@ -131,9 +139,7 @@ def enumerate_indices(
         raise ValueError("max_abs_delta must be non-negative")
     # one alphabet is the case order_x == degree: empty y shape, no offset
     orders = range(degree + 1) if group.alphabet != ALPHABET_X else (degree,)
-    glide = group.uses_glide
-    parities = (False, True) if glide else (False,)
-    moves = [_moves(rep) for rep in translation_coset_representatives(group)[1:]]
+    parities = (False, True) if group.uses_glide else (False,)
     labels: list[BasisIndex] = []
     for order_x in orders:
         for shape_x in compositions_of(order_x, max_parts):
@@ -142,14 +148,9 @@ def enumerate_indices(
                 deltas = (0,) if degenerate else range(-max_abs_delta, max_abs_delta + 1)
                 for delta in deltas:
                     for primed in parities:
-                        key = (primed, shape_x.parts, shape_y.parts, delta)
-                        base = -1 if primed else 0  # as in representative_monomial
-                        for move in moves:
-                            b, sx, sy, d = _image(base, shape_x, shape_y, delta, *move)
-                            if (glide and b % 2 == 1, sx.parts, sy.parts, d) < key:
-                                break
-                        else:
-                            labels.append(BasisIndex(group, shape_x, shape_y, delta, primed))
+                        raw = BasisIndex(group, shape_x, shape_y, delta, primed)
+                        if index_of_monomial(group, representative_monomial(raw)) == raw:
+                            labels.append(raw)
     return sorted(labels, key=BasisIndex.sort_key)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from .errors import ParseError
 from .monomials import ALPHABET_X, ALPHABET_XY
@@ -31,14 +32,14 @@ class FriezeGroup(Enum):
     F6 = "F6"
     F7 = "F7"
 
-    @property
+    @cached_property
     def alphabet(self) -> str:
-        return ALPHABET_X if self in _ONE_ALPHABET else ALPHABET_XY
+        return ALPHABET_X if self in (FriezeGroup.F1, FriezeGroup.F3) else ALPHABET_XY
 
-    @property
+    @cached_property
     def uses_glide(self) -> bool:
         """True for the two groups whose shift generator is a glide reflection."""
-        return self in _GLIDE
+        return self in (FriezeGroup.F2, FriezeGroup.F5)
 
     @property
     def shift_letter(self) -> str:
@@ -52,9 +53,6 @@ class FriezeGroup(Enum):
         return self.value
 
 
-# member tables: looking a member up on the class costs more than hashing one
-_ONE_ALPHABET = frozenset((FriezeGroup.F1, FriezeGroup.F3))
-_GLIDE = frozenset((FriezeGroup.F2, FriezeGroup.F5))
 _FLAGS = {
     FriezeGroup.F1: frozenset(),
     FriezeGroup.F2: frozenset(),

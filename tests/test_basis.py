@@ -62,6 +62,9 @@ def test_unit_monomial_has_no_label():
 def test_degenerate_delta_collapses():
     a = canonical_index(F6, composition(2), EMPTY, 0)
     assert a == canonical_index(F6, EMPTY, composition(2), 0)
+    assert a == canonical_index(F6, composition(2), EMPTY, 3)
+    pure_x = canonical_index(F1, composition(1, 1))
+    assert canonical_index(F1, composition(1, 1), EMPTY, 2) == pure_x
     with pytest.raises(ValueError):
         BasisIndex(F6, composition(2), EMPTY, delta=3)
 
@@ -187,6 +190,19 @@ def test_enumerate_is_canonical_and_sorted(any_group):
     for idx in indices:
         assert canonical_index(group, idx.shape_x, idx.shape_y, idx.delta, idx.primed) == idx
         assert idx.degree == 3
+
+
+def test_representatives_are_normal_forms(any_group):
+    """representative_monomial builds its result without the constructor's
+    checks; it must still be the normal form of its own exponents."""
+    for idx in enumerate_indices(any_group, 3, 3, 2):
+        rep = representative_monomial(idx)
+        if isinstance(rep, MonomialX):
+            expected = normal_form_x(rep.exponents())
+        else:
+            expected = normal_form_xy(*rep.exponents())
+        assert type(rep) is type(expected)
+        assert rep == expected and hash(rep) == hash(expected), idx
 
 
 def test_enumerate_rejects_bad_bounds():
