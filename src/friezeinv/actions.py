@@ -23,7 +23,8 @@ a two-alphabet monomial has the x block (base, shape_x) and the y block
 Swap and reflection commute.  ``_moves`` reads the three moves off an
 element, so only it knows that an odd power of g swaps blocks;
 ``monomials._image`` does the arithmetic on (base, shape_x, shape_y, delta)
-tuples, a one-alphabet monomial being an x block with an empty y block.  The
+tuples, which a monomial of either alphabet reads off its attributes (a
+one-alphabet monomial is an x block with an empty y block).  The
 image of a normal form is a normal form, so images and their translates are
 built without re-validation.  An orbit is the set of translates (by t, or by
 g^2 for the glide groups) of the images under the translation-coset
@@ -35,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .groups import FriezeGroup, GroupElement, generator, identity, shift
-from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image, _trusted
+from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _image, _trusted
 
 
 def _moves(element: GroupElement) -> tuple[int, bool, bool]:
@@ -49,25 +50,23 @@ def act_x(element: GroupElement, monomial: MonomialX) -> MonomialX:
     """Image of a one-alphabet monomial under an element of F1 or F3."""
     if element.group.alphabet != ALPHABET_X:
         raise ValueError(f"{element.group} does not act on the one-alphabet ring")
-    if not isinstance(monomial, MonomialX):
-        raise TypeError("act_x expects a one-alphabet monomial")
-    return _trusted(type(monomial), *_image(*_fields(monomial), *_moves(element)))
+    return act(element, monomial)
 
 
 def act_xy(element: GroupElement, monomial: MonomialXY) -> MonomialXY:
     """Image of a two-alphabet monomial under an element of F2, F4, F5, F6 or F7."""
     if element.group.alphabet == ALPHABET_X:
         raise ValueError(f"{element.group} does not act on the two-alphabet ring")
-    if not isinstance(monomial, MonomialXY):
-        raise TypeError("act_xy expects a two-alphabet monomial")
-    return _trusted(type(monomial), *_image(*_fields(monomial), *_moves(element)))
+    return act(element, monomial)
 
 
 def act(element: GroupElement, monomial: Monomial) -> Monomial:
-    """Dispatch to act_x or act_xy according to the element's group."""
-    if element.group.alphabet == ALPHABET_X:
-        return act_x(element, monomial)
-    return act_xy(element, monomial)
+    """Image of a monomial of the alphabet the element's group acts on."""
+    cls = MonomialX if element.group.alphabet == ALPHABET_X else MonomialXY
+    if not isinstance(monomial, cls):
+        raise TypeError(f"{element.group} acts on {cls.__name__} monomials")
+    fields = monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta
+    return _trusted(cls, *_image(*fields, *_moves(element)))
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +111,7 @@ def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[
     out: set[Monomial] = set()
     for rep in translation_coset_representatives(group):
         image = act(rep, monomial)
-        base, *shapes = _fields(image)
+        base, *shapes = image.base, image.shape_x, image.shape_y, image.delta
         lo, hi = image.support()
         # translating by z moves the support to [lo+z, hi+z]; z is a multiple of step
         first = -window - lo

@@ -25,7 +25,7 @@ from .compositions import EMPTY, Composition, compositions_of, parse_composition
 from .errors import ParseError
 from .groups import FriezeGroup
 from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, fits_window
-from .monomials import _fields, _image, _trusted
+from .monomials import _image, _trusted
 from .series import TruncatedSeries, is_invariant
 
 
@@ -43,13 +43,12 @@ class BasisIndex:
         if not (x or y):
             raise ValueError("basis labels require total order >= 1")
         if self.group.alphabet == ALPHABET_X:
-            if y or self.delta != 0 or self.primed:
+            if y or self.delta != 0:
                 raise ValueError(f"{self.group} labels carry a single shape")
-        else:
-            if not (x and y) and self.delta != 0:
-                raise ValueError("delta must be 0 when either shape has order 0")
-            if self.primed and not self.group.uses_glide:
-                raise ValueError(f"{self.group} labels have no parity class")
+        elif not (x and y) and self.delta != 0:
+            raise ValueError("delta must be 0 when either shape has order 0")
+        if self.primed and not self.group.uses_glide:
+            raise ValueError(f"{self.group} labels have no parity class")
 
     @property
     def degree(self) -> int:
@@ -77,8 +76,6 @@ def make_index(
     """Build a (possibly non-canonical) label, normalizing the degenerate
     offset: when either shape has order 0 all offsets name the same function,
     so delta collapses to 0."""
-    if group.alphabet == ALPHABET_X:
-        return BasisIndex(group, shape_x)
     if shape_x.order == 0 or shape_y.order == 0:
         delta = 0
     return BasisIndex(group, shape_x, shape_y, delta, primed)
@@ -95,7 +92,8 @@ def index_of_monomial(group: FriezeGroup, monomial: Monomial) -> BasisIndex:
     """The unique basis label whose orbit contains the monomial."""
     if monomial.is_unit:
         raise ValueError("the unit monomial has no basis label")
-    fields, glide = _fields(monomial), group.uses_glide
+    fields = monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta
+    glide = group.uses_glide
     images = (_image(*fields, *move) for move in _coset_moves(group))
     base, shape_x, shape_y, delta = min(
         images, key=lambda f: _label_key(glide and f[0] % 2 == 1, f[1], f[2], f[3])
@@ -226,27 +224,24 @@ def parse_basis_label(text: str) -> BasisIndex:
     digit, prime, body = match.groups()
     group = FriezeGroup(f"F{digit}")
     if group.alphabet == ALPHABET_X:
-        if prime:
-            raise ParseError(f"{group} labels have no parity class", 0)
-        return make_index(group, parse_composition(body))
-    if prime and not group.uses_glide:
-        raise ParseError(f"{group} labels have no parity class", 0)
-    shapes, sep, delta_text = body.partition(";")
-    first, comma, second = shapes.partition("),(")
-    if not sep or not comma:
-        raise ParseError(f"two shapes and an offset are required in {text!r}", 0)
-    shape_x = parse_composition(first + ")")
-    shape_y = parse_composition("(" + second)
-    delta_text = delta_text.strip()
-    for prefix in ("Δ=", "delta="):
-        if delta_text.startswith(prefix):
-            delta_text = delta_text[len(prefix):]
-            break
+        fields = (parse_composition(body),)
     else:
-        raise ParseError(f"offset must be written Δ=<int> in {text!r}", 0)
-    if not delta_text.lstrip("-").isdigit():
-        raise ParseError(f"bad offset value {delta_text!r}", 0)
+        shapes, sep, delta_text = body.partition(";")
+        first, comma, second = shapes.partition("),(")
+        if not sep or not comma:
+            raise ParseError(f"two shapes and an offset are required in {text!r}", 0)
+        shape_x, shape_y = parse_composition(first + ")"), parse_composition("(" + second)
+        delta_text = delta_text.strip()
+        for prefix in ("Δ=", "delta="):
+            if delta_text.startswith(prefix):
+                delta_text = delta_text[len(prefix):]
+                break
+        else:
+            raise ParseError(f"offset must be written Δ=<int> in {text!r}", 0)
+        if not delta_text.lstrip("-").isdigit():
+            raise ParseError(f"bad offset value {delta_text!r}", 0)
+        fields = shape_x, shape_y, int(delta_text)
     try:
-        return make_index(group, shape_x, shape_y, int(delta_text), primed=bool(prime))
+        return make_index(group, *fields, primed=bool(prime))
     except ValueError as exc:
         raise ParseError(str(exc), 0) from exc

@@ -85,11 +85,6 @@ def compositions_of(order: int, max_parts: int) -> Iterator[Composition]:
 
 
 def _compositions_with_parts(order: int, num: int) -> Iterator[Composition]:
-    if num == 1:
-        if order > 0:
-            yield Composition((order,))
-        return
-
     def rec(prefix: list[int], remaining: int, slots: int) -> Iterator[Composition]:
         if slots == 1:
             if remaining > 0:

@@ -1,10 +1,12 @@
 """Normal-form monomials in one alphabet (x) or two alphabets (x, y).
 
-Every monomial is stored as a base index plus composition(s): the one-alphabet
-monomial with base i and shape (s1, ..., sm) is x_{i+1}^{s1} ... x_{i+m}^{sm},
-so the smallest variable present is always x_{base+1}.  Two-alphabet monomials
+Every monomial is stored as a base index plus composition(s): the x block
+with base i and shape (s1, ..., sm) is x_{i+1}^{s1} ... x_{i+m}^{sm}, so the
+smallest variable of the block is always x_{base+1}.  Two-alphabet monomials
 additionally carry the y-shape and an integer offset ``delta``: the y block is
-y_{i+1+delta}^{s'1} ... y_{i+m'+delta}^{s'm'}.
+y_{i+1+delta}^{s'1} ... y_{i+m'+delta}^{s'm'}.  A one-alphabet monomial is the
+x block alone: it reads as an empty y block with offset 0, so one body over
+(base, shape_x, shape_y, delta) serves both alphabets.
 
 Degenerate conventions making the form unique:
   * a pure-x or pure-y monomial has delta == 0 and anchors its only block at
@@ -26,73 +28,36 @@ ALPHABET_X = "X"
 ALPHABET_XY = "XY"
 
 
-@dataclass(frozen=True, slots=True)
-class MonomialX:
-    base: int
-    shape: Composition
+class _Blocks:
+    """The members both alphabets share, over the x block (base, shape_x) and
+    the y block (base + delta, shape_y)."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
-        if self.shape.is_empty and self.base != 0:
-            raise ValueError("unit monomial must have base 0")
-
-    @property
-    def degree(self) -> int:
-        return self.shape.order
-
-    @property
-    def is_unit(self) -> bool:
-        return self.shape.is_empty
-
-    def exponents(self) -> dict[int, int]:
-        return {self.base + j + 1: p for j, p in enumerate(self.shape.parts) if p}
-
-    def support(self) -> tuple[int, int] | None:
-        """(smallest, largest) variable index present, or None for the unit."""
-        if self.is_unit:
-            return None
-        return (self.base + 1, self.base + self.shape.num_parts)
-
-    @property
-    def span(self) -> int:
-        sup = self.support()
-        return 0 if sup is None else sup[1] - sup[0] + 1
-
-    def sort_key(self) -> tuple:
-        return (self.base, self.shape.parts)
-
-    def __str__(self) -> str:
-        return format_monomial(self)
-
-
-@dataclass(frozen=True, slots=True)
-class MonomialXY:
-    base: int
-    shape_x: Composition
-    shape_y: Composition
-    delta: int
-
-    def __post_init__(self) -> None:
-        if (self.shape_x.order == 0 or self.shape_y.order == 0) and self.delta != 0:
+        if self.delta and not (self.shape_x.parts and self.shape_y.parts):
             raise ValueError("delta must be 0 when either block is empty")
-        if self.shape_x.is_empty and self.shape_y.is_empty and self.base != 0:
+        if self.base and self.is_unit:
             raise ValueError("unit monomial must have base 0")
 
     @property
     def degree(self) -> int:
-        return self.shape_x.order + self.shape_y.order
+        return sum(self.shape_x.parts + self.shape_y.parts)
 
     @property
     def is_unit(self) -> bool:
-        return self.shape_x.is_empty and self.shape_y.is_empty
+        return not (self.shape_x.parts or self.shape_y.parts)
 
-    def exponents(self) -> tuple[dict[int, int], dict[int, int]]:
-        xs = {self.base + j + 1: p for j, p in enumerate(self.shape_x.parts) if p}
-        ys = {self.base + self.delta + j + 1: p for j, p in enumerate(self.shape_y.parts) if p}
-        return xs, ys
+    def _exponent_maps(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(x exponents, y exponents), each keyed by variable index in
+        increasing order; an empty y block gives an empty map."""
+        xs = {i: p for i, p in enumerate(self.shape_x.parts, self.base + 1) if p}
+        y = self.shape_y.parts
+        return xs, ({i: p for i, p in enumerate(y, self.base + self.delta + 1) if p} if y else {})
 
     def support(self) -> tuple[int, int] | None:
         """(smallest, largest) variable index present, or None for the unit."""
-        m, mp = self.shape_x.num_parts, self.shape_y.num_parts
+        m, mp = len(self.shape_x.parts), len(self.shape_y.parts)
         if not (m and mp):
             # a single block is anchored at base + 1, whichever alphabet it is
             return (self.base + 1, self.base + m + mp) if m or mp else None
@@ -103,11 +68,41 @@ class MonomialXY:
         sup = self.support()
         return 0 if sup is None else sup[1] - sup[0] + 1
 
-    def sort_key(self) -> tuple:
-        return (self.base, self.shape_x.parts, self.delta, self.shape_y.parts)
-
     def __str__(self) -> str:
         return format_monomial(self)
+
+
+@dataclass(frozen=True, slots=True)
+class MonomialX(_Blocks):
+    base: int
+    shape: Composition
+
+    shape_y = EMPTY
+    delta = 0
+
+    def exponents(self) -> dict[int, int]:
+        return self._exponent_maps()[0]
+
+    def sort_key(self) -> tuple:
+        return (self.base, self.shape.parts)
+
+
+# the x block is the shape: reading the same slot keeps one-alphabet paths as fast
+MonomialX.shape_x = MonomialX.shape
+
+
+@dataclass(frozen=True, slots=True)
+class MonomialXY(_Blocks):
+    base: int
+    shape_x: Composition
+    shape_y: Composition
+    delta: int
+
+    def exponents(self) -> tuple[dict[int, int], dict[int, int]]:
+        return self._exponent_maps()
+
+    def sort_key(self) -> tuple:
+        return (self.base, self.shape_x.parts, self.delta, self.shape_y.parts)
 
 
 Monomial = Union[MonomialX, MonomialXY]
@@ -140,14 +135,6 @@ def _block(exps: dict[int, int]) -> tuple[int, Composition]:
         return 0, EMPTY
     lo, hi = min(exps), max(exps)
     return lo - 1, Composition(tuple(exps.get(i, 0) for i in range(lo, hi + 1)))
-
-
-def _fields(monomial: Monomial) -> tuple[int, Composition, Composition, int]:
-    """(base, shape_x, shape_y, delta); a one-alphabet monomial is an x block
-    with an empty y block."""
-    if isinstance(monomial, MonomialX):
-        return monomial.base, monomial.shape, EMPTY, 0
-    return monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta
 
 
 def _image(
@@ -208,17 +195,12 @@ def normal_form_xy(x_exponents: Mapping[int, int], y_exponents: Mapping[int, int
 
 def format_monomial(monomial: Monomial) -> str:
     """Text form, e.g. ``x[-1]^2 x[0] y[3]``; the unit monomial is ``1``."""
-    if isinstance(monomial, MonomialX):
-        blocks = [("x", monomial.exponents())]
-    else:
-        xs, ys = monomial.exponents()
-        blocks = [("x", xs), ("y", ys)]
-    factors = []
-    for letter, exps in blocks:
-        for index in sorted(exps):
-            exponent = exps[index]
-            factors.append(f"{letter}[{index}]" + (f"^{exponent}" if exponent != 1 else ""))
-    return " ".join(factors) if factors else "1"
+    factors = [
+        f"{letter}[{index}]^{exponent}" if exponent != 1 else f"{letter}[{index}]"
+        for letter, exps in zip("xy", monomial._exponent_maps())
+        for index, exponent in exps.items()
+    ]
+    return " ".join(factors) or "1"
 
 
 _FACTOR_RE = re.compile(r"([xy])\[(-?\d+)\](?:\^(-?\d+))?")

@@ -273,18 +273,11 @@ def _json_int(data: Mapping, key: str) -> int:
 
 
 def _merge(a: Monomial, b: Monomial) -> Monomial:
-    if isinstance(a, MonomialX):
-        xs = a.exponents()
-        for i, c in b.exponents().items():
-            xs[i] = xs.get(i, 0) + c
-        return normal_form_x(xs)
-    xa, ya = a.exponents()
-    xb, yb = b.exponents()
-    for i, c in xb.items():
-        xa[i] = xa.get(i, 0) + c
-    for i, c in yb.items():
-        ya[i] = ya.get(i, 0) + c
-    return normal_form_xy(xa, ya)
+    (xs, ys), (xb, yb) = a._exponent_maps(), b._exponent_maps()
+    for exps, more in ((xs, xb), (ys, yb)):
+        for i, c in more.items():
+            exps[i] = exps.get(i, 0) + c
+    return normal_form_x(xs) if isinstance(a, MonomialX) else normal_form_xy(xs, ys)
 
 
 def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
@@ -347,11 +340,13 @@ def _symmetric(r: int, window: int, choose) -> TruncatedSeries:
     of the monomial with those indices; r = 0 gives the unit."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    terms = {
-        normal_form_x({i: indices.count(i) for i in indices}): 1
+    if window < 0:
+        raise ValueError("window must be non-negative")
+    monomials = (
+        normal_form_x({i: indices.count(i) for i in indices})
         for indices in choose(range(-window, window + 1), r)
-    }
-    return TruncatedSeries(ALPHABET_X, r, window, terms)
+    )
+    return TruncatedSeries._trusted(ALPHABET_X, r, window, dict.fromkeys(monomials, Fraction(1)))
 
 
 def elementary_sym(r: int, window: int) -> TruncatedSeries:

@@ -361,9 +361,23 @@ def test_label_text_roundtrip():
     assert parse_basis_label("f6[(1),(2);delta=-3]") == samples[2]
 
 
+def test_one_alphabet_labels_reject_two_alphabet_fields():
+    # the y shape, the offset and the prime are checked, not dropped
+    with pytest.raises(ValueError):
+        make_index(F1, composition(1), composition(2), 3, True)
+    with pytest.raises(ValueError):
+        canonical_index(F1, composition(1), composition(2))
+    with pytest.raises(ValueError):
+        canonical_index(F3, composition(1, 2), primed=True)
+    assert make_index(F3, composition(2), EMPTY, 4) == make_index(F3, composition(2))
+
+
 @pytest.mark.parametrize(
     "text",
-    ["f8[(1)]", "f1[(1),(2);Δ=0]", "f6[(1)]", "f6'[(1),(1);Δ=0]", "f2[(1),(1)]", "f2[]"],
+    [
+        "f8[(1)]", "f1[(1),(2);Δ=0]", "f6[(1)]", "f6'[(1),(1);Δ=0]", "f2[(1),(1)]", "f2[]",
+        "f1'[(1)]", "f3'[(2,1)]", "f1[()]", "f6[(),();Δ=0]",
+    ],
 )
 def test_label_parse_errors(text):
     with pytest.raises(ParseError):

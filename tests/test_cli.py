@@ -85,6 +85,12 @@ def test_expand_bad_label(capsys):
     assert "parse error" in err
 
 
+def test_expand_label_without_terms_is_parse_error(capsys):
+    code, out, err = run_cli(capsys, "expand", "f1[()]", "-N", "2")
+    assert code == 2 and out == ""
+    assert "parse error" in err and "Traceback" not in err
+
+
 def test_expand_output_parses_back(capsys):
     code, out, _ = run_cli(capsys, "expand", "f4[(1),(2);Δ=1]", "-N", "3")
     assert code == 0

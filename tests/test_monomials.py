@@ -73,6 +73,27 @@ def test_roundtrip_xy(xs, ys):
     assert m.degree == sum(xs.values()) + sum(ys.values())
 
 
+@given(exponent_maps)
+def test_one_alphabet_monomial_is_the_x_block(exps):
+    m = normal_form_x(exps)
+    assert (m.shape_x, m.shape_y, m.delta) == (m.shape, EMPTY, 0)
+    xy = MonomialXY(m.base, m.shape, EMPTY, 0)
+    assert (m.degree, m.is_unit, m.support(), m.span, str(m)) == (
+        xy.degree, xy.is_unit, xy.support(), xy.span, str(xy))
+
+
+def test_sort_key_and_exponents_shapes():
+    # the benchmark digests read these, so their shapes are fixed
+    m = normal_form_x({3: 1, 5: 2})
+    assert m.sort_key() == (2, (1, 0, 2))
+    assert m.exponents() == {3: 1, 5: 2} and type(m.exponents()) is dict
+    assert UNIT_X.sort_key() == (0, ()) and UNIT_X.exponents() == {}
+    xy = normal_form_xy({0: 1}, {2: 1, 3: 1})
+    assert xy.sort_key() == (-1, (1,), 2, (1, 1))
+    assert xy.exponents() == ({0: 1}, {2: 1, 3: 1}) and type(xy.exponents()) is tuple
+    assert UNIT_XY.sort_key() == (0, (), 0, ()) and UNIT_XY.exponents() == ({}, {})
+
+
 def test_zero_exponents_are_dropped():
     assert normal_form_x({2: 0}) == UNIT_X
     assert normal_form_xy({1: 1, 5: 0}, {3: 0}) == normal_form_xy({1: 1}, {})
