@@ -87,7 +87,8 @@ class MonomialX(_Blocks):
         return (self.base, self.shape.parts)
 
 
-# the x block is the shape: reading the same slot keeps one-alphabet paths as fast
+# the x block is the shape slot itself; the alias reads it as fast as ``shape``,
+# where a property would add a call to every one-alphabet path
 MonomialX.shape_x = MonomialX.shape
 
 
