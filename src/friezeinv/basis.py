@@ -222,24 +222,28 @@ def parse_basis_label(text: str) -> BasisIndex:
     if match is None:
         raise ParseError(f"bad basis label {text!r}", 0)
     digit, prime, body = match.groups()
+    start = len(text) - len(text.lstrip()) + match.start(3)  # leading spaces count
     group = FriezeGroup(f"F{digit}")
     if group.alphabet == ALPHABET_X:
-        fields = (parse_composition(body),)
+        fields = (parse_composition(body, start),)
     else:
         shapes, sep, delta_text = body.partition(";")
         first, comma, second = shapes.partition("),(")
         if not sep or not comma:
             raise ParseError(f"two shapes and an offset are required in {text!r}", 0)
-        shape_x, shape_y = parse_composition(first + ")"), parse_composition("(" + second)
+        shape_x = parse_composition(first + ")", start)
+        shape_y = parse_composition("(" + second, start + len(first) + 2)
+        at = start + len(shapes) + 1 + len(delta_text) - len(delta_text.lstrip())
         delta_text = delta_text.strip()
         for prefix in ("Δ=", "delta="):
             if delta_text.startswith(prefix):
                 delta_text = delta_text[len(prefix):]
+                at += len(prefix)
                 break
         else:
-            raise ParseError(f"offset must be written Δ=<int> in {text!r}", 0)
+            raise ParseError(f"offset must be written Δ=<int> in {text!r}", at)
         if not delta_text.lstrip("-").isdigit():
-            raise ParseError(f"bad offset value {delta_text!r}", 0)
+            raise ParseError(f"bad offset value {delta_text!r}", at)
         fields = shape_x, shape_y, int(delta_text)
     try:
         return make_index(group, *fields, primed=bool(prime))

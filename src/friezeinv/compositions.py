@@ -47,9 +47,7 @@ class Composition:
     def reverse(self) -> "Composition":
         """Reversed composition; valid because first and last entries swap
         roles, so it is built without checking the parts again."""
-        out = object.__new__(Composition)
-        object.__setattr__(out, "parts", self.parts[::-1])
-        return out
+        return _unchecked(self.parts[::-1])
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -62,6 +60,13 @@ class Composition:
 
 
 EMPTY = Composition(())
+
+
+def _unchecked(parts: tuple[int, ...]) -> Composition:
+    """A composition from parts already known to be valid, built unchecked."""
+    out = object.__new__(Composition)
+    object.__setattr__(out, "parts", parts)
+    return out
 
 
 def composition(*parts: int) -> Composition:

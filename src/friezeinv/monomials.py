@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .compositions import EMPTY, Composition
+from .compositions import EMPTY, Composition, _unchecked
 from .errors import ParseError
 
 ALPHABET_X = "X"
@@ -131,11 +131,29 @@ def _clean_exponents(mapping: Mapping[int, int]) -> dict[int, int]:
 
 
 def _block(exps: dict[int, int]) -> tuple[int, Composition]:
-    """Base and shape of one exponent block; the empty block is (0, EMPTY)."""
+    """Base and shape of one cleaned exponent block, (0, EMPTY) if empty; the
+    least and the greatest index carry positive exponents, so no check is due."""
     if not exps:
         return 0, EMPTY
     lo, hi = min(exps), max(exps)
-    return lo - 1, Composition(tuple(exps.get(i, 0) for i in range(lo, hi + 1)))
+    return lo - 1, _unchecked(tuple(exps.get(i, 0) for i in range(lo, hi + 1)))
+
+
+def _sum_blocks(b1: int, s1: Composition, b2: int, s2: Composition) -> tuple[int, Composition]:
+    """Product of the blocks (b1, s1) and (b2, s2): from the smaller base, the
+    parts summed over the union of both ranges; an empty block is the unit."""
+    p1, p2 = s1.parts, s2.parts
+    if not (p1 and p2):
+        return (b1, s1) if p1 else (b2, s2)
+    if b1 > b2:
+        b1, p1, b2, p2 = b2, p2, b1, p1
+    gap = b2 - b1 - len(p1)
+    if gap >= 0:  # disjoint ranges: zeros fill the gap
+        return b1, _unchecked(p1 + (0,) * gap + p2)
+    parts = list(p1) + [0] * (gap + len(p2))
+    for i, p in enumerate(p2, b2 - b1):
+        parts[i] += p
+    return b1, _unchecked(tuple(parts))
 
 
 def _image(
@@ -184,14 +202,14 @@ def _trusted(
 
 def normal_form_x(exponents: Mapping[int, int]) -> MonomialX:
     """Normal form of a one-alphabet exponent map; the empty map gives the unit."""
-    return MonomialX(*_block(_clean_exponents(exponents)))
+    return _trusted(MonomialX, *_block(_clean_exponents(exponents)), EMPTY, 0)
 
 
 def normal_form_xy(x_exponents: Mapping[int, int], y_exponents: Mapping[int, int]) -> MonomialXY:
     """Normal form of a two-alphabet exponent pair (see module docstring)."""
     bx, sx = _block(_clean_exponents(x_exponents))
     by, sy = _block(_clean_exponents(y_exponents))
-    return MonomialXY(*_image(bx, sx, sy, by - bx))
+    return _trusted(MonomialXY, *_image(bx, sx, sy, by - bx))
 
 
 def format_monomial(monomial: Monomial) -> str:

@@ -15,16 +15,19 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Union
 
 from .actions import act
+from .compositions import EMPTY, _unchecked
 from .groups import FriezeGroup, generators
 from .monomials import (
     ALPHABET_X,
     ALPHABET_XY,
+    UNIT_X,
     Monomial,
     MonomialX,
     MonomialXY,
+    _image,
+    _sum_blocks,
+    _trusted,
     fits_window,
-    normal_form_x,
-    normal_form_xy,
     parse_monomial,
 )
 
@@ -121,7 +124,7 @@ class TruncatedSeries:
         return TruncatedSeries._trusted(self.alphabet, self.degree, self.window, out)
 
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Ring product; the degree adds and the window stays the same.
+        """Ring product by block sums (``_merge``); the degree adds and the window stays the same.
 
         Products of window-supported monomials are window-supported, so no
         truncation loss happens here (loss only enters via the factors).
@@ -273,11 +276,11 @@ def _json_int(data: Mapping, key: str) -> int:
 
 
 def _merge(a: Monomial, b: Monomial) -> Monomial:
-    (xs, ys), (xb, yb) = a._exponent_maps(), b._exponent_maps()
-    for exps, more in ((xs, xb), (ys, yb)):
-        for i, c in more.items():
-            exps[i] = exps.get(i, 0) + c
-    return normal_form_x(xs) if isinstance(a, MonomialX) else normal_form_xy(xs, ys)
+    """Product of two normal forms: x blocks add, and y blocks at base + delta;
+    ``_image`` with no move puts the sum in normal form, built unchecked."""
+    bx, sx = _sum_blocks(a.base, a.shape_x, b.base, b.shape_x)
+    by, sy = _sum_blocks(a.base + a.delta, a.shape_y, b.base + b.delta, b.shape_y)
+    return _trusted(type(a), *_image(bx, sx, sy, by - bx))
 
 
 def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
@@ -342,11 +345,18 @@ def _symmetric(r: int, window: int, choose) -> TruncatedSeries:
         raise ValueError("r must be non-negative")
     if window < 0:
         raise ValueError("window must be non-negative")
-    monomials = (
-        normal_form_x({i: indices.count(i) for i in indices})
-        for indices in choose(range(-window, window + 1), r)
-    )
+    tuples = choose(range(-window, window + 1), r)
+    monomials = map(_sorted_indices_monomial, tuples) if r else [UNIT_X]
     return TruncatedSeries._trusted(ALPHABET_X, r, window, dict.fromkeys(monomials, Fraction(1)))
+
+
+def _sorted_indices_monomial(indices: tuple[int, ...]) -> MonomialX:
+    """Product of the variables at a nonempty sorted index tuple: base first - 1,
+    and the parts count the indices over [first, last]."""
+    parts = [0] * (indices[-1] - indices[0] + 1)
+    for i in indices:
+        parts[i - indices[0]] += 1
+    return _trusted(MonomialX, indices[0] - 1, _unchecked(tuple(parts)), EMPTY, 0)
 
 
 def elementary_sym(r: int, window: int) -> TruncatedSeries:

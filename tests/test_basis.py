@@ -384,6 +384,30 @@ def test_label_parse_errors(text):
         parse_basis_label(text)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("f8[(1)]", 0),
+        ("f6[(1),(2)]", 0),
+        ("f1[()]", 0),
+        ("f1[(1,x)]", 3),
+        ("  f1[(1,x)]", 5),
+        ("f6[(1,),(2);Δ=0]", 3),
+        ("f6[(1),(2,-1);Δ=0]", 7),
+        (" f6[(1),(2,x);Δ=0]", 8),
+        ("f6[(1),(2);Δ=x]", 13),
+        ("f6[(1),(2); delta=-x]", 18),
+        ("f6[(1),(2);Q=1]", 11),
+        ("f6[(1),(2);  1]", 13),
+    ],
+)
+def test_label_parse_error_positions(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_basis_label(text)
+    assert info.value.position == position
+    assert str(info.value).startswith(f"at position {position}: ")
+
+
 @pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
 def test_expansions_are_invariant_on_interior(group):
     from friezeinv import is_invariant

@@ -53,6 +53,13 @@ def test_canon_parse_error_position(capsys):
     assert "position 5" in err
 
 
+def test_expand_label_error_position(capsys):
+    for label, position in (("f6[(1),(2);Δ=x]", 13), ("f6[(1),(2,-1);Δ=0]", 7)):
+        code, out, err = run_cli(capsys, "expand", label, "-N", "2")
+        assert code == 2 and out == ""
+        assert f"at position {position}:" in err
+
+
 def test_expand_f1(capsys):
     code, out, _ = run_cli(capsys, "expand", "f1[(1)]", "-N", "2")
     assert code == 0

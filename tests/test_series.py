@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from friezeinv import (
     ALPHABET_X,
     ALPHABET_XY,
+    Composition,
     FriezeGroup,
+    MonomialX,
+    MonomialXY,
     TruncatedSeries,
     UNIT_X,
     act_series,
@@ -27,6 +30,7 @@ from friezeinv import (
     shift,
 )
 from friezeinv.actions import orbit_coset_representatives
+from friezeinv.series import _merge
 
 F1, F2, F3, F4, F5, F6, F7 = FriezeGroup
 
@@ -356,3 +360,110 @@ def test_multiply_commutes_with_projection_on_co_supported_factors():
         lifted = TruncatedSeries(ALPHABET_X, 2, 4, dict(a_small.terms()))
         lifted_b = TruncatedSeries(ALPHABET_X, 2, 4, dict(b_small.terms()))
         assert (lifted * lifted_b).project(inner) == a_small * b_small
+
+
+# -- normal forms built unchecked: block products, symmetric functions, normal_form_*
+
+exponent_maps = st.dictionaries(st.integers(-4, 4), st.integers(1, 3), max_size=3)
+
+
+@st.composite
+def normal_forms(draw, alphabet):
+    """Normal forms drawn from exponent maps; empty maps give the unit and the
+    pure-x and pure-y monomials, and the y block may start left of the x
+    block (negative Δ), overlap it or lie apart from it."""
+    if alphabet == ALPHABET_X:
+        return normal_form_x(draw(exponent_maps))
+    return normal_form_xy(draw(exponent_maps), draw(exponent_maps))
+
+
+def _rebuild(monomial):
+    """The same fields through the checked constructors."""
+    if isinstance(monomial, MonomialX):
+        return MonomialX(monomial.base, Composition(monomial.shape.parts))
+    return MonomialXY(
+        monomial.base,
+        Composition(monomial.shape_x.parts),
+        Composition(monomial.shape_y.parts),
+        monomial.delta,
+    )
+
+
+def _assert_rebuilds(monomial):
+    rebuilt = _rebuild(monomial)
+    assert rebuilt == monomial and hash(rebuilt) == hash(monomial)
+
+
+def _product_by_exponent_maps(a, b):
+    """The product through summed exponent maps and the normal-form builders."""
+    (xs, ys), (xb, yb) = a._exponent_maps(), b._exponent_maps()
+    for exps, more in ((xs, xb), (ys, yb)):
+        for i, c in more.items():
+            exps[i] = exps.get(i, 0) + c
+    return normal_form_x(xs) if isinstance(a, MonomialX) else normal_form_xy(xs, ys)
+
+
+@st.composite
+def normal_form_pairs(draw):
+    alphabet = draw(st.sampled_from((ALPHABET_X, ALPHABET_XY)))
+    return draw(normal_forms(alphabet)), draw(normal_forms(alphabet))
+
+
+@settings(max_examples=400, deadline=None)
+@given(normal_form_pairs())
+def test_merge_is_the_normal_form_of_the_summed_exponents(pair):
+    a, b = pair
+    product = _merge(a, b)
+    assert product == _product_by_exponent_maps(a, b)
+    assert product == _merge(b, a)
+    _assert_rebuilds(product)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (UNIT_X, normal_form_x({2: 1})),
+        (normal_form_x({-3: 1}), normal_form_x({3: 2})),
+        (normal_form_x({0: 1, 2: 1}), normal_form_x({1: 1, 2: 1})),
+        (normal_form_xy({}, {}), normal_form_xy({1: 1}, {-2: 1})),
+        (normal_form_xy({0: 1}, {}), normal_form_xy({}, {-3: 2})),
+        (normal_form_xy({}, {1: 1}), normal_form_xy({}, {4: 1})),
+        (normal_form_xy({2: 1}, {-1: 1}), normal_form_xy({-4: 1}, {3: 1})),
+        (normal_form_xy({0: 1, 1: 1}, {1: 1}), normal_form_xy({1: 2}, {0: 1, 1: 1})),
+    ],
+)
+def test_merge_examples(a, b):
+    product = _merge(a, b)
+    assert product == _product_by_exponent_maps(a, b)
+    _assert_rebuilds(product)
+
+
+@pytest.mark.parametrize("build", [elementary_sym, complete_sym])
+def test_symmetric_function_terms_rebuild(build):
+    for r in range(5):
+        for window in range(5):
+            for monomial, _ in build(r, window).terms():
+                assert monomial.degree == r
+                _assert_rebuilds(monomial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_maps, exponent_maps)
+def test_normal_forms_rebuild(xs, ys):
+    _assert_rebuilds(normal_form_x(xs))
+    _assert_rebuilds(normal_form_xy(xs, ys))
+
+
+def test_normal_form_guards_are_kept():
+    for bad in ({0: -1}, {0: 2, 3: -2}):
+        with pytest.raises(ValueError):
+            normal_form_x(bad)
+        with pytest.raises(ValueError):
+            normal_form_xy(bad, {})
+        with pytest.raises(ValueError):
+            normal_form_xy({}, bad)
+    for bad in ({0: Fraction(1)}, {0: 1.0}, {Fraction(1): 1}, {"0": 1}):
+        with pytest.raises(TypeError):
+            normal_form_x(bad)
+        with pytest.raises(TypeError):
+            normal_form_xy({1: 1}, bad)
