@@ -147,10 +147,7 @@ def _sum_blocks(b1: int, s1: Composition, b2: int, s2: Composition) -> tuple[int
         return (b1, s1) if p1 else (b2, s2)
     if b1 > b2:
         b1, p1, b2, p2 = b2, p2, b1, p1
-    gap = b2 - b1 - len(p1)
-    if gap >= 0:  # disjoint ranges: zeros fill the gap
-        return b1, _unchecked(p1 + (0,) * gap + p2)
-    parts = list(p1) + [0] * (gap + len(p2))
+    parts = list(p1) + [0] * (b2 - b1 + len(p2) - len(p1))
     for i, p in enumerate(p2, b2 - b1):
         parts[i] += p
     return b1, _unchecked(tuple(parts))

@@ -15,15 +15,15 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Union
 
 from .actions import act
-from .compositions import EMPTY, _unchecked
+from .compositions import EMPTY
 from .groups import FriezeGroup, generators
 from .monomials import (
     ALPHABET_X,
     ALPHABET_XY,
-    UNIT_X,
     Monomial,
     MonomialX,
     MonomialXY,
+    _block,
     _image,
     _sum_blocks,
     _trusted,
@@ -345,18 +345,11 @@ def _symmetric(r: int, window: int, choose) -> TruncatedSeries:
         raise ValueError("r must be non-negative")
     if window < 0:
         raise ValueError("window must be non-negative")
-    tuples = choose(range(-window, window + 1), r)
-    monomials = map(_sorted_indices_monomial, tuples) if r else [UNIT_X]
+    monomials = (
+        _trusted(MonomialX, *_block({i: indices.count(i) for i in indices}), EMPTY, 0)
+        for indices in choose(range(-window, window + 1), r)
+    )
     return TruncatedSeries._trusted(ALPHABET_X, r, window, dict.fromkeys(monomials, Fraction(1)))
-
-
-def _sorted_indices_monomial(indices: tuple[int, ...]) -> MonomialX:
-    """Product of the variables at a nonempty sorted index tuple: base first - 1,
-    and the parts count the indices over [first, last]."""
-    parts = [0] * (indices[-1] - indices[0] + 1)
-    for i in indices:
-        parts[i - indices[0]] += 1
-    return _trusted(MonomialX, indices[0] - 1, _unchecked(tuple(parts)), EMPTY, 0)
 
 
 def elementary_sym(r: int, window: int) -> TruncatedSeries:
