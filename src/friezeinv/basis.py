@@ -228,11 +228,11 @@ def parse_basis_label(text: str) -> BasisIndex:
         fields = (parse_composition(body, start),)
     else:
         shapes, sep, delta_text = body.partition(";")
-        first, comma, second = shapes.partition("),(")
-        if not sep or not comma:
+        comma = re.search(r"\)\s*,\s*\(", shapes)
+        if not sep or comma is None:
             raise ParseError(f"two shapes and an offset are required in {text!r}", 0)
-        shape_x = parse_composition(first + ")", start)
-        shape_y = parse_composition("(" + second, start + len(first) + 2)
+        shape_x = parse_composition(shapes[: comma.start() + 1], start)
+        shape_y = parse_composition(shapes[comma.end() - 1 :], start + comma.end() - 1)
         at = start + len(shapes) + 1 + len(delta_text) - len(delta_text.lstrip())
         delta_text = delta_text.strip()
         for prefix in ("Δ=", "delta="):

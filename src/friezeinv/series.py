@@ -297,14 +297,16 @@ def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
 def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bool:
     """Coefficient constancy on orbits, tested away from the window boundary.
 
-    For every generator and every monomial supported in
-    [-window+margin, window-margin], the coefficient must match the one of its
-    preimage.  margin >= 1 is required so preimages of interior monomials stay
-    inside the window (the shift generators move indices by one; reflections
-    preserve the symmetric interior), and margin <= window so that the
-    interior holds at least one index.  A nonzero series of which no term and
-    no generator image lies in the interior is rejected too: nothing would be
-    checked.
+    The interior is [-window+margin, window-margin].  Each generator acts once
+    on each term: every term whose image lies in the interior must give the
+    image its own coefficient, and these images must be as many as the
+    interior terms.  A generator is a bijection, so the count falls short
+    exactly when some interior term has a preimage that is not a term.  margin >= 1
+    keeps the preimages of interior monomials inside the window (the shift
+    generators move indices by one; reflections preserve the symmetric
+    interior), and margin <= window keeps at least one index in the interior.
+    A nonzero series with no interior term and no interior image is rejected
+    too: nothing would be checked.
     """
     if margin < 1:
         raise ValueError("margin must be at least 1")
@@ -315,24 +317,21 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
         )
     if group.alphabet != series.alphabet:
         raise ValueError(f"{group} does not act on alphabet {series.alphabet}")
-    interior = series.window - margin
-    examined = False
+    interior, coeffs = series.window - margin, series._coeffs
+    inside = sum(fits_window(monomial, interior) for monomial in coeffs)
     for gen in generators(group):
-        inv = gen.inverse()
-        candidates = set()
-        for monomial in series._coeffs:
-            if fits_window(monomial, interior):
-                candidates.add(monomial)
+        hits = 0
+        for monomial, coeff in coeffs.items():
             image = act(gen, monomial)
             if fits_window(image, interior):
-                candidates.add(image)
-        examined = examined or bool(candidates)
-        for monomial in candidates:
-            if series.coefficient(act(inv, monomial)) != series.coefficient(monomial):
-                return False
-    if series._coeffs and not examined:
+                if coeffs.get(image) != coeff:
+                    return False
+                hits += 1
+        if hits != inside:
+            return False
+    if coeffs and not inside:
         raise ValueError(
-            f"no monomial of the series and none of its generator images lies in the "
+            f"no term of the series and none of its generator images lies in the "
             f"interior [{-interior}, {interior}], so there is nothing to check"
         )
     return True

@@ -359,6 +359,8 @@ def test_label_text_roundtrip():
         assert parse_basis_label(format_basis_label(idx)) == idx
     assert format_basis_label(samples[2]) == "f6[(1),(2);Δ=-3]"
     assert parse_basis_label("f6[(1),(2);delta=-3]") == samples[2]
+    for spaced in ("f6[(1), (2);Δ=-3]", "f6[(1) ,(2);Δ=-3]", "f6[ (1) , (2) ; Δ=-3]"):
+        assert parse_basis_label(spaced) == samples[2]
 
 
 def test_one_alphabet_labels_reject_two_alphabet_fields():
@@ -376,7 +378,8 @@ def test_one_alphabet_labels_reject_two_alphabet_fields():
     "text",
     [
         "f8[(1)]", "f1[(1),(2);Δ=0]", "f6[(1)]", "f6'[(1),(1);Δ=0]", "f2[(1),(1)]", "f2[]",
-        "f1'[(1)]", "f3'[(2,1)]", "f1[()]", "f6[(),();Δ=0]",
+        "f1'[(1)]", "f3'[(2,1)]", "f1[()]", "f6[(),();Δ=0]", "f6[(1)(2);Δ=0]",
+        "f6[(1) (2);Δ=0]", "f6[(1),;(2)Δ=0]",
     ],
 )
 def test_label_parse_errors(text):
@@ -399,6 +402,11 @@ def test_label_parse_errors(text):
         ("f6[(1),(2); delta=-x]", 18),
         ("f6[(1),(2);Q=1]", 11),
         ("f6[(1),(2);  1]", 13),
+        ("f6[(1)(2);Δ=0]", 0),
+        ("f6[(1,x) ,(2);Δ=0]", 3),
+        ("f6[(1), (2,x);Δ=0]", 8),
+        ("f6[(1) , (2,-1);Δ=0]", 9),
+        ("f6[(1), (2); Δ=x]", 15),
     ],
 )
 def test_label_parse_error_positions(text, position):

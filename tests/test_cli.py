@@ -86,6 +86,15 @@ def test_expand_f2_primed_equality(capsys):
     assert out1 == out2
 
 
+def test_expand_label_with_spaces_around_the_shape_comma(capsys):
+    _, expected, _ = run_cli(capsys, "expand", "f6[(1),(2);Δ=0]", "-N", "1")
+    for label in ("f6[(1), (2);Δ=0]", "f6[(1) ,(2);Δ=0]", "f6[(1) , (2);Δ=0]"):
+        assert run_cli(capsys, "expand", label, "-N", "1") == (0, expected, "")
+    code, out, err = run_cli(capsys, "expand", "f6[(1)(2);Δ=0]", "-N", "1")
+    assert code == 2 and out == ""
+    assert "two shapes and an offset are required" in err
+
+
 def test_expand_bad_label(capsys):
     code, _, err = run_cli(capsys, "expand", "f9[(1)]", "-N", "2")
     assert code == 2
@@ -221,6 +230,16 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "f1[(1)]"
+
+
+def test_package_entry_point():
+    result = subprocess.run(
+        [sys.executable, "-m", "friezeinv", "canon", "--group", "F1", "x[3] x[5]^2"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout.splitlines() == ["f1[(1,0,2)]", "x[3] x[5]^2"]
 
 
 def test_check_reads_stdin():

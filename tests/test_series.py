@@ -15,6 +15,7 @@ from friezeinv import (
     MonomialXY,
     TruncatedSeries,
     UNIT_X,
+    act,
     act_series,
     complete_sym,
     composition,
@@ -23,13 +24,16 @@ from friezeinv import (
     expand_basis_function,
     expand_in_basis,
     generator,
+    generators,
     is_invariant,
     make_index,
     normal_form_x,
     normal_form_xy,
+    representative_monomial,
     shift,
 )
 from friezeinv.actions import orbit_coset_representatives
+from friezeinv.monomials import fits_window
 from friezeinv.series import _merge
 
 F1, F2, F3, F4, F5, F6, F7 = FriezeGroup
@@ -204,6 +208,61 @@ def test_interior_narrower_than_every_monomial_is_an_error():
     assert is_invariant(F1, complete_sym(2, 2), 2)
     # a term outside the interior whose shift image lies inside is examined
     assert not is_invariant(F1, x_series(2, -1), 2)
+
+
+def _two_action_rule(group, series, margin):
+    """The reference invariance test: for each generator, every interior x
+    reached as a term or as a term's image has coeff(gen^-1 x) == coeff(x)."""
+    if not 1 <= margin <= series.window:
+        raise ValueError("no interior")
+    interior, terms = series.window - margin, series.monomials()
+    examined = False
+    for gen in generators(group):
+        reached = {x for x in terms | {act(gen, m) for m in terms} if fits_window(x, interior)}
+        examined = examined or bool(reached)
+        inv = gen.inverse()
+        if any(series.coefficient(act(inv, x)) != series.coefficient(x) for x in reached):
+            return False
+    if not series.is_zero() and not examined:
+        raise ValueError("nothing to check")
+    return True
+
+
+def _outcome(check, group, series, margin):
+    try:
+        return check(group, series, margin)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def tampered_orbit_sums(draw):
+    """A sum of orbit sums of one group at a window N <= 5, with one
+    coefficient bumped or one term deleted, or neither; and a margin 1..N."""
+    group = draw(st.sampled_from(list(FriezeGroup)))
+    window = draw(st.integers(1, 5))
+    degree = draw(st.integers(1, 3))
+    labels = [
+        label for label in enumerate_indices(group, degree, 2, 1)
+        if fits_window(representative_monomial(label), window)
+    ]
+    series = TruncatedSeries.zero(group.alphabet, degree, window)
+    for label in draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)):
+        series += expand_basis_function(label, window).scale(draw(st.integers(-2, 2)))
+    terms = series.terms()
+    change = draw(st.sampled_from(("delete", "bump", "none"))) if terms else "none"
+    if change != "none":
+        monomial, coeff = terms.pop(draw(st.integers(0, len(terms) - 1)))
+        if change == "bump":
+            terms.append((monomial, coeff + draw(st.sampled_from((-1, 1)))))
+        series = TruncatedSeries(series.alphabet, degree, window, terms)
+    return group, series, draw(st.integers(1, window))
+
+
+@settings(max_examples=600, deadline=None)
+@given(tampered_orbit_sums())
+def test_is_invariant_agrees_with_the_two_action_rule(case):
+    assert _outcome(is_invariant, *case) is _outcome(_two_action_rule, *case)
 
 
 def test_json_rejects_exponent_notation():
