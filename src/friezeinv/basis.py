@@ -242,7 +242,7 @@ def parse_basis_label(text: str) -> BasisIndex:
                 break
         else:
             raise ParseError(f"offset must be written Δ=<int> in {text!r}", at)
-        if not delta_text.lstrip("-").isdigit():
+        if not delta_text.removeprefix("-").isdecimal():
             raise ParseError(f"bad offset value {delta_text!r}", at)
         fields = shape_x, shape_y, int(delta_text)
     try:

@@ -8,6 +8,7 @@ All reports are deterministic JSON with exact rational coefficient strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,6 +42,7 @@ def _group(value: str) -> FriezeGroup:
         raise argparse.ArgumentTypeError(f"unknown group {value!r} (expected F1..F7)")
 
 
+@functools.cache  # parse_args leaves the parser as it was and reads sys.stdout/stderr per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="friezeinv",

@@ -114,7 +114,7 @@ def parse_composition(text: str, offset: int = 0) -> Composition:
     entries = []
     for chunk in inner.split(","):
         chunk = chunk.strip()
-        if not chunk.lstrip("-").isdigit():
+        if not chunk.removeprefix("-").isdecimal():
             raise ParseError(f"bad composition entry {chunk!r} in {text!r}", offset)
         entries.append(int(chunk))
     try:

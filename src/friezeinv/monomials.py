@@ -197,16 +197,22 @@ def _trusted(
     return out
 
 
+def _normal_form(cls: type, xs: dict[int, int], ys: dict[int, int]) -> Monomial:
+    """The monomial of cleaned exponent maps (int indices, exponents >= 1),
+    built unchecked; a one-alphabet class takes an empty ``ys``."""
+    bx, sx = _block(xs)
+    by, sy = _block(ys)
+    return _trusted(cls, *_image(bx, sx, sy, by - bx))
+
+
 def normal_form_x(exponents: Mapping[int, int]) -> MonomialX:
     """Normal form of a one-alphabet exponent map; the empty map gives the unit."""
-    return _trusted(MonomialX, *_block(_clean_exponents(exponents)), EMPTY, 0)
+    return _normal_form(MonomialX, _clean_exponents(exponents), {})
 
 
 def normal_form_xy(x_exponents: Mapping[int, int], y_exponents: Mapping[int, int]) -> MonomialXY:
     """Normal form of a two-alphabet exponent pair (see module docstring)."""
-    bx, sx = _block(_clean_exponents(x_exponents))
-    by, sy = _block(_clean_exponents(y_exponents))
-    return _trusted(MonomialXY, *_image(bx, sx, sy, by - bx))
+    return _normal_form(MonomialXY, _clean_exponents(x_exponents), _clean_exponents(y_exponents))
 
 
 def format_monomial(monomial: Monomial) -> str:
@@ -226,7 +232,8 @@ def parse_monomial(text: str, alphabet: str) -> Monomial:
     """Parse the monomial grammar for the given alphabet ("X" or "XY").
 
     The empty string and ``1`` denote the unit monomial.  Repeated factors
-    multiply (their exponents add).
+    multiply (their exponents add) in any order.  The grammar gives int indices
+    and exponents >= 1, so the maps are clean as parsed and built unchecked.
     """
     if alphabet not in (ALPHABET_X, ALPHABET_XY):
         raise ValueError(f"unknown alphabet {alphabet!r}")
@@ -251,6 +258,4 @@ def parse_monomial(text: str, alphabet: str) -> Monomial:
         index = int(index_text)
         target[index] = target.get(index, 0) + exponent
         pos += len(token)
-    if alphabet == ALPHABET_X:
-        return normal_form_x(xs)
-    return normal_form_xy(xs, ys)
+    return _normal_form(MonomialX if alphabet == ALPHABET_X else MonomialXY, xs, ys)

@@ -10,9 +10,10 @@ interior margin.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 from .actions import act
 from .compositions import EMPTY
@@ -39,7 +40,7 @@ _ZERO = Fraction(0)
 def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not allowed; use Fraction or str")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class TruncatedSeries:
@@ -199,7 +200,9 @@ class TruncatedSeries:
         ``degree`` and ``window`` must be JSON integers, each term an object
         with a monomial string and a coefficient that is a JSON integer or
         an exact rational string such as ``"-3/2"``; exponent notation such
-        as ``"1e9"`` is rejected.
+        as ``"1e9"`` is rejected.  Terms that name one monomial, in any spelling,
+        add (zero sums are dropped).  Each distinct coefficient is parsed once
+        per call; the terms still go through the validating constructor.
         """
         if not isinstance(data, Mapping):
             raise ValueError("malformed series object: expected a JSON object")
@@ -212,7 +215,7 @@ class TruncatedSeries:
             raise ValueError(f"malformed series object: missing {exc}") from exc
         if not isinstance(raw_terms, list):
             raise ValueError("malformed series object: terms must be a list")
-        terms = []
+        terms, values = [], {}
         for n, entry in enumerate(raw_terms):
             if not isinstance(entry, Mapping) or not isinstance(entry.get("monomial"), str):
                 raise ValueError(f"malformed term {n}: expected a string \"monomial\"")
@@ -222,15 +225,18 @@ class TruncatedSeries:
                     f"malformed term {n}: coefficient must be an integer or a string, "
                     f"got {coeff!r}"
                 )
-            if isinstance(coeff, str) and "e" in coeff.lower():
-                # Fraction would expand the power of ten in full
-                raise ValueError(
-                    f"malformed term {n}: exponent notation is not allowed, got {coeff!r}"
-                )
-            try:
-                value = Fraction(coeff)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"malformed term {n}: bad coefficient {coeff!r}") from exc
+            # after the type check, so that true never reads a stored 1
+            value = values.get(coeff)
+            if value is None:
+                if isinstance(coeff, str) and "e" in coeff.lower():
+                    # Fraction would expand the power of ten in full
+                    raise ValueError(
+                        f"malformed term {n}: exponent notation is not allowed, got {coeff!r}"
+                    )
+                try:
+                    value = values[coeff] = Fraction(coeff)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ValueError(f"malformed term {n}: bad coefficient {coeff!r}") from exc
             terms.append((parse_monomial(entry["monomial"], alphabet), value))
         return cls(alphabet, degree, window, terms)
 
@@ -257,12 +263,14 @@ def _accumulate(
     pairs: Iterable[tuple[Monomial, Fraction]], store: dict[Monomial, Fraction] | None = None
 ) -> dict[Monomial, Fraction]:
     """Add each value into ``store`` (a new dict by default) under its
-    monomial, dropping the monomials whose sum is zero."""
+    monomial, dropping the monomials whose sum is zero; a value is added only
+    to one already stored, and a zero value for a new monomial is not stored."""
     out = {} if store is None else store
     for monomial, value in pairs:
-        total = out.get(monomial, _ZERO) + value
-        if total:
-            out[monomial] = total
+        if monomial in out:
+            value += out[monomial]
+        if value:
+            out[monomial] = value
         else:
             out.pop(monomial, None)
     return out

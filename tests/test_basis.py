@@ -359,6 +359,8 @@ def test_label_text_roundtrip():
         assert parse_basis_label(format_basis_label(idx)) == idx
     assert format_basis_label(samples[2]) == "f6[(1),(2);Δ=-3]"
     assert parse_basis_label("f6[(1),(2);delta=-3]") == samples[2]
+    # int() reads any decimal digits, as the label grammar did before
+    assert parse_basis_label("f6[(1),(\u0662);Δ=-\u0663]") == samples[2]
     for spaced in ("f6[(1), (2);Δ=-3]", "f6[(1) ,(2);Δ=-3]", "f6[ (1) , (2) ; Δ=-3]"):
         assert parse_basis_label(spaced) == samples[2]
 
@@ -407,6 +409,11 @@ def test_label_parse_errors(text):
         ("f6[(1), (2,x);Δ=0]", 8),
         ("f6[(1) , (2,-1);Δ=0]", 9),
         ("f6[(1), (2); Δ=x]", 15),
+        ("f6[(1),(2);Δ=--5]", 13),
+        ("f6[(1),(2);Δ=²]", 13),
+        ("f6[(1),(2); delta=-²]", 18),
+        ("f1[(1,--2)]", 3),
+        (" f6[(1),(-²);Δ=0]", 8),
     ],
 )
 def test_label_parse_error_positions(text, position):

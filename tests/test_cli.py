@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from friezeinv import (
     FriezeGroup,
@@ -9,7 +15,9 @@ from friezeinv import (
     elementary_sym,
     expand_basis_function,
     make_index,
+    parse_monomial,
 )
+from friezeinv import cli
 from friezeinv.cli import main
 
 
@@ -54,7 +62,12 @@ def test_canon_parse_error_position(capsys):
 
 
 def test_expand_label_error_position(capsys):
-    for label, position in (("f6[(1),(2);Δ=x]", 13), ("f6[(1),(2,-1);Δ=0]", 7)):
+    for label, position in (
+        ("f6[(1),(2);Δ=x]", 13),
+        ("f6[(1),(2,-1);Δ=0]", 7),
+        ("f6[(1),(2);Δ=--5]", 13),
+        ("f1[(1,--2)]", 3),
+    ):
         code, out, err = run_cli(capsys, "expand", label, "-N", "2")
         assert code == 2 and out == ""
         assert f"at position {position}:" in err
@@ -347,3 +360,168 @@ def test_check_exponent_coefficient_is_usage_error(tmp_path, capsys):
         code, out, err = _check_payload(tmp_path, capsys, payload)
         _assert_clean_usage_error(code, out, err)
         assert "exponent notation" in err
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys, monkeypatch):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_x_payload()))
+    perturbed = _x_payload()
+    perturbed["terms"][0]["coeff"] = "7"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(perturbed))
+    # every command, with usage errors between the successes
+    sweep = [
+        ["canon", "--group", "F3", "x[1]^2 x[2]"],
+        ["check", "--group", "F1", str(good), "--margin", "x"],
+        ["check", "--group", "F1", str(good)],
+        ["canon", "--group", "F9", "x[1]"],
+        ["check", "--group", "F1", str(bad), "--json"],
+        ["--help"],
+        ["expand", "f6[(1),(2);Δ=-1]", "-N", "3"],
+        ["expand", "--help"],
+        ["census", "--group", "F6", "-k", "3", "--max-parts", "2"],
+        [],
+        ["symfunc", "h", "2", "-N", "2", "--expand-basis"],
+        ["symfunc", "q", "2", "-N", "2"],
+        ["orbit", "--group", "F7", "x[0] y[1]", "-N", "2"],
+        ["stab", "--group", "F3", "x[0] x[1]"],
+        ["stab", "--group", "F3"],
+        ["expand", "f1[(1,--2)]", "-N", "3"],
+    ]
+    calls = sweep + sweep[::-1]
+    cached = [run_cli(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert {code for code, _, _ in cached} == {0, 1, 2}
+
+
+def _reference_from_json(data):
+    """``TruncatedSeries.from_json_dict`` with every coefficient checked and
+    parsed on its own, term by term, in the same order of checks."""
+    if not isinstance(data, dict):
+        raise ValueError("not an object")
+    try:
+        alphabet, degree, window, raw_terms = (
+            data[key] for key in ("alphabet", "degree", "window", "terms")
+        )
+    except KeyError as exc:
+        raise ValueError("missing key") from exc
+    for value in (degree, window):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError("degree and window are integers")
+    if not isinstance(raw_terms, list):
+        raise ValueError("terms are a list")
+    terms = []
+    for entry in raw_terms:
+        if not isinstance(entry, dict) or not isinstance(entry.get("monomial"), str):
+            raise ValueError("a term has a monomial string")
+        coeff = entry.get("coeff")
+        if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
+            raise ValueError("a coefficient is an integer or a string")
+        if isinstance(coeff, str) and "e" in coeff.lower():
+            raise ValueError("no exponent notation")
+        try:
+            value = Fraction(coeff)
+        except ZeroDivisionError as exc:
+            raise ValueError("zero denominator") from exc
+        terms.append((parse_monomial(entry["monomial"], alphabet), value))
+    return TruncatedSeries(alphabet, degree, window, terms)
+
+
+_MONOMIALS = ["x[-2]", "x[-1]", "x[0]", "x[1]", "x[2]", "x[3]", "x[0]^2", "y[0]", "bogus", "", 5]
+_GOOD_COEFFS = st.one_of(
+    st.integers(-2, 2), st.sampled_from(["1", "-1", "1/2", "2/4", "0", "-0", " 3 ", "0.5"])
+)
+_BAD_COEFFS = st.one_of(
+    st.sampled_from(["1e9", "1/0", "x", ""]),
+    st.booleans(),
+    st.floats(-2, 2),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.none(),
+)
+_GOOD_TERMS = st.fixed_dictionaries(
+    {"monomial": st.sampled_from(_MONOMIALS[:5]), "coeff": _GOOD_COEFFS}
+)
+_TERMS = st.one_of(
+    _GOOD_TERMS,
+    _GOOD_TERMS,
+    _GOOD_TERMS,
+    st.fixed_dictionaries(
+        {}, optional={"monomial": st.sampled_from(_MONOMIALS), "coeff": _BAD_COEFFS}
+    ),
+    st.integers(),
+)
+_FIELDS = {
+    "alphabet": st.sampled_from(["X", "XY", "x"]),
+    "degree": st.sampled_from([1, 0, 2, True, 1.0, "1"]),
+    "window": st.sampled_from([2, 0, 1, 3, False, "2"]),
+}
+
+
+@st.composite
+def _split_invariant_documents(draw):
+    """One coefficient on each monomial of window 2, each given as two terms
+    that add up to it, in any order; an int part and a string part."""
+    value = draw(st.sampled_from([-2, -1, 1, 2]))
+    terms = []
+    for monomial in _MONOMIALS[:5]:
+        part = draw(st.integers(-2, 2))
+        terms += [{"monomial": monomial, "coeff": part},
+                  {"monomial": monomial, "coeff": str(value - part)}]
+    return {"alphabet": "X", "degree": 1, "window": 2, "terms": draw(st.permutations(terms))}
+
+
+_HEADER = {"alphabet": st.just("X"), "degree": st.just(1), "window": st.just(2)}
+_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries(dict(_HEADER, terms=st.lists(_TERMS, max_size=8))),
+    st.fixed_dictionaries(dict(_HEADER, terms=st.lists(_GOOD_TERMS, min_size=1, max_size=8))),
+    _split_invariant_documents(),
+    st.fixed_dictionaries(dict(_FIELDS, terms=st.lists(_TERMS, max_size=3))),
+    st.fixed_dictionaries({}, optional=dict(_FIELDS, terms=st.lists(_TERMS, max_size=3))),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+def _document(*coeffs, monomials=("x[-2]", "x[-1]", "x[0]", "x[1]", "x[2]")):
+    terms = [{"monomial": m, "coeff": c} for m, c in zip(monomials, coeffs)]
+    return {"alphabet": "X", "degree": 1, "window": 2, "terms": terms}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS, st.sampled_from(["1", "2", "3"]))
+@example(_document(1, 1, 1, 1, 1), "1")
+@example(_document("1/2", "1/2", "1/2", "1/2", "1/2"), "1")
+@example(_document(1, True), "1")
+@example(_document("1", 1), "1")
+@example(_document(1, "1", 1, "1", True), "1")
+@example(_document(1, -1, monomials=("x[0]", "x[0]")), "1")
+@example(_document("2", 1, 1, 1, 1, "-1", monomials=_MONOMIALS[:5] + ["x[-2]"]), "1")
+def test_check_on_any_series_document(tmp_path_factory, document, margin):
+    text = json.dumps(document)
+    path = tmp_path_factory.mktemp("fuzz") / "series.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", "--group", "F1", str(path), "--margin", margin])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+    data = json.loads(text)
+    try:
+        expected = _reference_from_json(data)
+    except (ValueError, TypeError) as exc:
+        expected = exc
+    try:
+        series = TruncatedSeries.from_json_dict(data)
+    except (ValueError, TypeError) as exc:
+        assert type(exc) is type(expected)
+        assert code == 2 and out == ""
+        return
+    assert series == expected
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert err == "" and json.loads(out)["invariant"] is (code == 0)

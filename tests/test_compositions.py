@@ -94,7 +94,31 @@ def test_text_roundtrip():
     assert str(composition(2, 0, 1)) == "(2,0,1)"
 
 
-@pytest.mark.parametrize("text", ["", "2,1", "(2,x)", "(0,1)", "(1,)"])
+@pytest.mark.parametrize(
+    "text", ["", "2,1", "(2,x)", "(0,1)", "(1,)", "(1,--2)", "(²)", "(1,-²)", "(+1)"]
+)
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_composition(text)
+
+
+def test_parse_error_is_at_the_composition_offset():
+    with pytest.raises(ParseError) as info:
+        parse_composition("(1,--2)", 7)
+    assert info.value.position == 7
+
+
+@given(st.text(alphabet="-+_ 0129²٣", max_size=4))
+def test_entries_parse_as_the_old_digit_rule_did(entry):
+    # the former rule: strip the minus signs, test isdigit(), then int();
+    # what it read must read the same, and its int() failures are ParseErrors
+    chunk = entry.strip()
+    try:
+        expected = Composition((1, int(chunk))) if chunk.lstrip("-").isdigit() else None
+    except ValueError:
+        expected = None
+    if expected is None:
+        with pytest.raises(ParseError):
+            parse_composition(f"(1,{entry})")
+    else:
+        assert parse_composition(f"(1,{entry})") == expected

@@ -146,8 +146,30 @@ def test_parse_accumulates_repeated_factors():
     assert parse_monomial("x[2] x[2]", ALPHABET_X) == normal_form_x({2: 2})
 
 
+factor_lists = st.lists(
+    st.tuples(st.sampled_from("xy"), st.integers(-6, 6), st.integers(1, 3)), max_size=8
+)
+
+
+@given(factor_lists, st.data())
+def test_parse_of_shuffled_repeated_factors_is_the_normal_form(factors, data):
+    sums = {"x": {}, "y": {}}
+    for letter, index, exponent in factors:
+        sums[letter][index] = sums[letter].get(index, 0) + exponent
+    for alphabet, expected in (
+        (ALPHABET_XY, normal_form_xy(sums["x"], sums["y"])),
+        (ALPHABET_X, normal_form_x(sums["x"])),
+    ):
+        usable = [f for f in factors if alphabet == ALPHABET_XY or f[0] == "x"]
+        shuffled = data.draw(st.permutations(usable))
+        text = " ".join(f"{c}[{i}]" + (f"^{e}" if e > 1 else "") for c, i, e in shuffled)
+        parsed = parse_monomial(text, alphabet)
+        assert type(parsed) is type(expected)
+        assert parsed == expected and hash(parsed) == hash(expected)
+
+
 @pytest.mark.parametrize(
-    "text", ["x[2]^0", "x[2]^-1", "z[1]", "x[a]", "x(1)", "x[1]y[2]"]
+    "text", ["x[2]^0", "x[2]^-1", "z[1]", "x[a]", "x(1)", "x[1]y[2]", "x[--1]", "x[²]"]
 )
 def test_parse_errors(text):
     with pytest.raises(ParseError):

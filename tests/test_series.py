@@ -71,6 +71,7 @@ def test_zero_coefficients_pruned():
     s = TruncatedSeries(ALPHABET_X, 1, 2, [(normal_form_x({0: 1}), 1), (normal_form_x({0: 1}), -1)])
     assert s.is_zero()
     assert s == TruncatedSeries.zero(ALPHABET_X, 1, 2)
+    assert TruncatedSeries(ALPHABET_X, 1, 2, {normal_form_x({0: 1}): "0/3"}).is_zero()
 
 
 def test_add_scale_examples():
@@ -395,6 +396,25 @@ def test_json_roundtrip():
 
     sxy = expand_basis_function(make_index(F6, composition(1), composition(1), 0), 2)
     assert TruncatedSeries.from_json_dict(sxy.to_json_dict()) == sxy
+
+
+def test_json_terms_naming_one_monomial_add_and_cancel():
+    # two spellings of one monomial are one term; zero sums and zeros are dropped
+    terms = [
+        ("x[1] x[2]", "1/2"), ("x[2] x[1]", 1), ("x[0]^2", "3"), ("x[0] x[0]", -3),
+        ("x[-1] x[0]", 0), ("x[2] x[1]", "0"),
+    ]
+    payload = {"alphabet": "X", "degree": 2, "window": 3,
+               "terms": [{"monomial": m, "coeff": c} for m, c in terms]}
+    series = TruncatedSeries.from_json_dict(payload)
+    assert series.terms() == [(normal_form_x({1: 1, 2: 1}), Fraction(3, 2))]
+    payload["terms"] = payload["terms"][2:5]
+    assert TruncatedSeries.from_json_dict(payload).is_zero()
+    xy = {"alphabet": "XY", "degree": 2, "window": 2, "terms": [
+        {"monomial": "y[1] x[0]", "coeff": "2"}, {"monomial": "x[0] y[1]", "coeff": -2},
+        {"monomial": "y[0] y[0]", "coeff": 1}, {"monomial": "y[0]^2", "coeff": "1"},
+    ]}
+    assert TruncatedSeries.from_json_dict(xy).terms() == [(normal_form_xy({}, {0: 2}), 2)]
 
 
 def test_json_coefficients_are_exact_strings():
