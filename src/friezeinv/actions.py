@@ -22,11 +22,11 @@ a two-alphabet monomial has the x block (base, shape_x) and the y block
 
 Swap and reflection commute.  ``_moves`` reads the three moves off an
 element, so only it knows that an odd power of g swaps blocks;
-``monomials._image`` does the arithmetic on (base, shape_x, shape_y, delta)
-tuples, which a monomial of either alphabet reads off its attributes (a
-one-alphabet monomial is an x block with an empty y block).  The
-image of a normal form is a normal form, so images and their translates are
-built without re-validation.  An orbit is the set of translates (by t, or by
+``monomials._image`` does the arithmetic on the (base, parts_x, parts_y,
+delta) fields a monomial is made of (a one-alphabet monomial is an x block
+with an empty y block, and its image keeps only the x block).  The image of
+a normal form is a normal form, so images and their translates are built
+with a plain ``tuple.__new__``.  An orbit is the set of translates (by t, or by
 g^2 for the glide groups) of the images under the translation-coset
 representatives.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .groups import FriezeGroup, GroupElement, generator, identity, shift
-from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _image, _trusted
+from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image
 
 
 def _moves(element: GroupElement) -> tuple[int, bool, bool]:
@@ -65,8 +65,8 @@ def act(element: GroupElement, monomial: Monomial) -> Monomial:
     cls = MonomialX if element.group.alphabet == ALPHABET_X else MonomialXY
     if not isinstance(monomial, cls):
         raise TypeError(f"{element.group} acts on {cls.__name__} monomials")
-    fields = monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta
-    return _trusted(cls, *_image(*fields, *_moves(element)))
+    image = _image(*_fields(monomial), *_moves(element))
+    return tuple.__new__(cls, image[: len(monomial)])
 
 
 @lru_cache(maxsize=None)
@@ -107,16 +107,16 @@ def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[
         raise ValueError("window must be non-negative")
     if monomial.is_unit:
         return {monomial}
-    step, cls = (2 if group.uses_glide else 1), type(monomial)
+    step, new, cls = (2 if group.uses_glide else 1), tuple.__new__, type(monomial)
     out: set[Monomial] = set()
     for rep in translation_coset_representatives(group):
         image = act(rep, monomial)
-        base, *shapes = image.base, image.shape_x, image.shape_y, image.delta
+        base, rest = image[0], image[1:]
         lo, hi = image.support()
         # translating by z moves the support to [lo+z, hi+z]; z is a multiple of step
         first = -window - lo
         first += first % step
-        out.update(_trusted(cls, base + z, *shapes) for z in range(first, window - hi + 1, step))
+        out.update(new(cls, (base + z,) + rest) for z in range(first, window - hi + 1, step))
     return out
 
 

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import _coset_moves, orbit_in_window
-from .compositions import EMPTY, Composition, compositions_of, parse_composition
+from .compositions import EMPTY, Composition, _unchecked, compositions_of, parse_composition
 from .errors import ParseError
 from .groups import FriezeGroup
-from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, fits_window
-from .monomials import _image, _trusted
+from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image, fits_window
 from .series import TruncatedSeries, is_invariant
 
 
@@ -55,15 +54,11 @@ class BasisIndex:
         return self.shape_x.order + self.shape_y.order
 
     def sort_key(self) -> tuple:
-        return _label_key(self.primed, self.shape_x, self.shape_y, self.delta)
+        """The order on labels: the canonical label is the least, listings are sorted."""
+        return (self.primed, self.shape_x.parts, self.shape_y.parts, self.delta)
 
     def __str__(self) -> str:
         return format_basis_label(self)
-
-
-def _label_key(primed: bool, shape_x: Composition, shape_y: Composition, delta: int) -> tuple:
-    """The order on labels: the canonical label is the least, listings are sorted."""
-    return (primed, shape_x.parts, shape_y.parts, delta)
 
 
 def make_index(
@@ -84,21 +79,20 @@ def make_index(
 def representative_monomial(index: BasisIndex) -> Monomial:
     """The orbit member the label abbreviates: base 0, or base -1 when primed.
     A valid label's fields are a normal form, so it is built unchecked."""
-    cls = MonomialX if index.group.alphabet == ALPHABET_X else MonomialXY
-    return _trusted(cls, -1 if index.primed else 0, index.shape_x, index.shape_y, index.delta)
+    fields = (-1 if index.primed else 0, index.shape_x.parts, index.shape_y.parts, index.delta)
+    one = index.group.alphabet == ALPHABET_X
+    return tuple.__new__(MonomialX, fields[:2]) if one else tuple.__new__(MonomialXY, fields)
 
 
 def index_of_monomial(group: FriezeGroup, monomial: Monomial) -> BasisIndex:
     """The unique basis label whose orbit contains the monomial."""
     if monomial.is_unit:
         raise ValueError("the unit monomial has no basis label")
-    fields = monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta
-    glide = group.uses_glide
+    fields, glide = _fields(monomial), group.uses_glide
     images = (_image(*fields, *move) for move in _coset_moves(group))
-    base, shape_x, shape_y, delta = min(
-        images, key=lambda f: _label_key(glide and f[0] % 2 == 1, f[1], f[2], f[3])
-    )
-    return BasisIndex(group, shape_x, shape_y, delta, glide and base % 2 == 1)
+    # the sort_key of the image's label: (primed, parts_x, parts_y, delta)
+    base, px, py, delta = min(images, key=lambda f: (glide and f[0] % 2 == 1, f[1:]))
+    return BasisIndex(group, _unchecked(px), _unchecked(py), delta, glide and base % 2 == 1)
 
 
 def canonical_index(
@@ -194,7 +188,8 @@ def expand_in_basis(
             continue
         index = index_of_monomial(group, monomial)
         for member in orbit_in_window(group, monomial, interior):
-            if series.coefficient(member) != coeff:
+            found = series.coefficient(member)
+            if found is not coeff and found != coeff:
                 raise ValueError(f"reconstruction mismatch at {member} for {index}")
             seen.add(member)
         if fits_window(representative_monomial(index), interior):

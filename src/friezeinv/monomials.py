@@ -4,9 +4,15 @@ Every monomial is stored as a base index plus composition(s): the x block
 with base i and shape (s1, ..., sm) is x_{i+1}^{s1} ... x_{i+m}^{sm}, so the
 smallest variable of the block is always x_{base+1}.  Two-alphabet monomials
 additionally carry the y-shape and an integer offset ``delta``: the y block is
-y_{i+1+delta}^{s'1} ... y_{i+m'+delta}^{s'm'}.  A one-alphabet monomial is the
-x block alone: it reads as an empty y block with offset 0, so one body over
-(base, shape_x, shape_y, delta) serves both alphabets.
+y_{i+1+delta}^{s'1} ... y_{i+m'+delta}^{s'm'}.
+
+A monomial is the tuple (base, parts_x) or (base, parts_x, parts_y, delta) of
+plain part tuples, so it hashes and compares in C, equals and orders like the
+plain tuple (the listing order is ``sort_key``), and never equals a monomial of
+the other alphabet.  The constructors check the conventions below; the library
+builds the normal forms it computes with a plain ``tuple.__new__``.  A
+one-alphabet monomial reads as an empty y block with offset 0, so one body
+serves both alphabets.
 
 Degenerate conventions making the form unique:
   * a pure-x or pure-y monomial has delta == 0 and anchors its only block at
@@ -18,7 +24,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .compositions import EMPTY, Composition, _unchecked
@@ -27,83 +32,96 @@ from .errors import ParseError
 ALPHABET_X = "X"
 ALPHABET_XY = "XY"
 
+_Parts = tuple[int, ...]
 
-class _Blocks:
-    """The members both alphabets share, over the x block (base, shape_x) and
-    the y block (base + delta, shape_y)."""
+
+def _fields(monomial: tuple) -> tuple[int, _Parts, _Parts, int]:
+    """(base, parts_x, parts_y, delta) of a monomial of either alphabet."""
+    return monomial if len(monomial) == 4 else (*monomial, (), 0)
+
+
+class _Blocks(tuple):
+    """The members both alphabets share, over the x block (base, parts_x) and
+    the y block (base + delta, parts_y)."""
 
     __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.delta and not (self.shape_x.parts and self.shape_y.parts):
-            raise ValueError("delta must be 0 when either block is empty")
-        if self.base and self.is_unit:
-            raise ValueError("unit monomial must have base 0")
+    base = property(operator.itemgetter(0))
+    shape_x = property(lambda self: _unchecked(self[1]))
 
+    def __getnewargs__(self) -> tuple:
+        # the arguments of the checked constructor, for copy and pickle
+        return (self.base, self.shape_x, self.shape_y, self.delta)[: len(self)]
+
+    # the part tuples are the fields at 1 and, in two alphabets, at 2
     @property
     def degree(self) -> int:
-        return sum(self.shape_x.parts + self.shape_y.parts)
+        return sum(map(sum, self[1:3]))
 
     @property
     def is_unit(self) -> bool:
-        return not (self.shape_x.parts or self.shape_y.parts)
+        return not any(self[1:3])
 
     def _exponent_maps(self) -> tuple[dict[int, int], dict[int, int]]:
         """(x exponents, y exponents), each keyed by variable index in
         increasing order; an empty y block gives an empty map."""
-        xs = {i: p for i, p in enumerate(self.shape_x.parts, self.base + 1) if p}
-        y = self.shape_y.parts
-        return xs, ({i: p for i, p in enumerate(y, self.base + self.delta + 1) if p} if y else {})
+        base, px, py, delta = _fields(self)
+        xs = {i: p for i, p in enumerate(px, base + 1) if p}
+        return xs, ({i: p for i, p in enumerate(py, base + delta + 1) if p} if py else {})
 
     def support(self) -> tuple[int, int] | None:
         """(smallest, largest) variable index present, or None for the unit."""
-        m, mp = len(self.shape_x.parts), len(self.shape_y.parts)
+        base, px, py, delta = _fields(self)
+        m, mp = len(px), len(py)
         if not (m and mp):
             # a single block is anchored at base + 1, whichever alphabet it is
-            return (self.base + 1, self.base + m + mp) if m or mp else None
-        return (self.base + 1 + min(0, self.delta), self.base + max(m, self.delta + mp))
+            return (base + 1, base + m + mp) if m or mp else None
+        return (base + 1 + min(0, delta), base + max(m, delta + mp))
 
     @property
     def span(self) -> int:
         sup = self.support()
         return 0 if sup is None else sup[1] - sup[0] + 1
 
+    def exponents(self) -> dict[int, int] | tuple[dict[int, int], dict[int, int]]:
+        """The exponent map, or the (x, y) pair of maps for two alphabets."""
+        maps = self._exponent_maps()
+        return maps[0] if len(self) == 2 else maps
+
+    def sort_key(self) -> tuple:
+        """The listing order: (base, parts_x), or (base, parts_x, delta, parts_y)."""
+        return tuple(self) if len(self) == 2 else (self[0], self[1], self[3], self[2])
+
     def __str__(self) -> str:
         return format_monomial(self)
 
 
-@dataclass(frozen=True, slots=True)
 class MonomialX(_Blocks):
-    base: int
-    shape: Composition
+    __slots__ = ()
 
+    shape = _Blocks.shape_x
     shape_y = EMPTY
     delta = 0
 
-    def exponents(self) -> dict[int, int]:
-        return self._exponent_maps()[0]
-
-    def sort_key(self) -> tuple:
-        return (self.base, self.shape.parts)
-
-
-# the x block is the shape slot itself; the alias reads it as fast as ``shape``,
-# where a property would add a call to every one-alphabet path
-MonomialX.shape_x = MonomialX.shape
+    def __new__(cls, base: int, shape: Composition) -> "MonomialX":
+        if base and not shape.parts:
+            raise ValueError("unit monomial must have base 0")
+        return tuple.__new__(cls, (base, shape.parts))
 
 
-@dataclass(frozen=True, slots=True)
 class MonomialXY(_Blocks):
-    base: int
-    shape_x: Composition
-    shape_y: Composition
-    delta: int
+    __slots__ = ()
 
-    def exponents(self) -> tuple[dict[int, int], dict[int, int]]:
-        return self._exponent_maps()
+    shape_y = property(lambda self: _unchecked(self[2]))
+    delta = property(operator.itemgetter(3))
 
-    def sort_key(self) -> tuple:
-        return (self.base, self.shape_x.parts, self.delta, self.shape_y.parts)
+    def __new__(cls, base: int, shape_x: Composition, shape_y: Composition, delta: int):
+        px, py = shape_x.parts, shape_y.parts
+        if delta and not (px and py):
+            raise ValueError("delta must be 0 when either block is empty")
+        if base and not (px or py):
+            raise ValueError("unit monomial must have base 0")
+        return tuple.__new__(cls, (base, px, py, delta))
 
 
 Monomial = Union[MonomialX, MonomialXY]
@@ -118,101 +136,83 @@ def fits_window(monomial: Monomial, window: int) -> bool:
     return sup is None or (-window <= sup[0] and sup[1] <= window)
 
 
-def _clean_exponents(mapping: Mapping[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
+def _clean_exponents(mapping: Mapping[int, int]) -> list[tuple[int, int]]:
+    """The factors (index, exponent > 0) of an exponent map, sorted by index."""
+    out: list[tuple[int, int]] = []
     for index, exponent in mapping.items():
         exponent = operator.index(exponent)
-        if exponent == 0:
-            continue
         if exponent < 0:
             raise ValueError(f"exponents must be non-negative, got {exponent} at index {index}")
-        out[operator.index(index)] = exponent
-    return out
+        if exponent:
+            out.append((operator.index(index), exponent))
+    return sorted(out)
 
 
-def _block(exps: dict[int, int]) -> tuple[int, Composition]:
-    """Base and shape of one cleaned exponent block, (0, EMPTY) if empty; the
+def _block(factors: list[tuple[int, int]]) -> tuple[int, _Parts]:
+    """Base and parts of one block from its factors (index, exponent >= 1)
+    sorted by index, a repeated index adding; (0, ()) if there are none.  The
     least and the greatest index carry positive exponents, so no check is due."""
-    if not exps:
-        return 0, EMPTY
-    lo, hi = min(exps), max(exps)
-    return lo - 1, _unchecked(tuple(exps.get(i, 0) for i in range(lo, hi + 1)))
+    if not factors:
+        return 0, ()
+    lo = factors[0][0]
+    parts = [0] * (factors[-1][0] - lo + 1)
+    for index, exponent in factors:
+        parts[index - lo] += exponent
+    return lo - 1, tuple(parts)
 
 
-def _sum_blocks(b1: int, s1: Composition, b2: int, s2: Composition) -> tuple[int, Composition]:
-    """Product of the blocks (b1, s1) and (b2, s2): from the smaller base, the
+def _sum_blocks(b1: int, p1: _Parts, b2: int, p2: _Parts) -> tuple[int, _Parts]:
+    """Product of the blocks (b1, p1) and (b2, p2): from the smaller base, the
     parts summed over the union of both ranges; an empty block is the unit."""
-    p1, p2 = s1.parts, s2.parts
     if not (p1 and p2):
-        return (b1, s1) if p1 else (b2, s2)
+        return (b1, p1) if p1 else (b2, p2)
     if b1 > b2:
         b1, p1, b2, p2 = b2, p2, b1, p1
     parts = list(p1) + [0] * (b2 - b1 + len(p2) - len(p1))
     for i, p in enumerate(p2, b2 - b1):
         parts[i] += p
-    return b1, _unchecked(tuple(parts))
+    return b1, tuple(parts)
 
 
 def _image(
-    base: int, shape_x: Composition, shape_y: Composition, delta: int,
+    base: int, px: _Parts, py: _Parts, delta: int,
     shift: int = 0, reflect: bool = False, swap: bool = False,
-) -> tuple[int, Composition, Composition, int]:
-    """Normal-form fields of the image of the blocks (base, shape_x) and
-    (base + delta, shape_y): shift both bases, then reflect each block
-    (b, s) -> (-b-m-1, rev s), then exchange the blocks, then apply the
+) -> tuple[int, _Parts, _Parts, int]:
+    """Normal-form fields of the image of the blocks (base, px) and
+    (base + delta, py): shift both bases, then reflect each block
+    (b, p) -> (-b-m-1, rev p), then exchange the blocks, then apply the
     conventions above.  With no move it is the normal form of two blocks."""
-    if not (shape_x.parts or shape_y.parts):
-        return 0, shape_x, shape_y, 0
+    if not (px or py):
+        return 0, px, py, 0
     bx = base + shift
     by = bx + delta
     if reflect:
-        bx, shape_x = -bx - len(shape_x.parts) - 1, shape_x.reverse()
-        by, shape_y = -by - len(shape_y.parts) - 1, shape_y.reverse()
+        bx, px = -bx - len(px) - 1, px[::-1]
+        by, py = -by - len(py) - 1, py[::-1]
     if swap:
-        bx, shape_x, by, shape_y = by, shape_y, bx, shape_x
-    if not shape_y.parts:
-        return bx, shape_x, shape_y, 0
-    if not shape_x.parts:
-        return by, shape_x, shape_y, 0
-    return bx, shape_x, shape_y, by - bx
+        bx, px, by, py = by, py, bx, px
+    if not py:
+        return bx, px, py, 0
+    if not px:
+        return by, px, py, 0
+    return bx, px, py, by - bx
 
 
-_new, _set = object.__new__, object.__setattr__
-
-
-def _trusted(
-    cls: type, base: int, shape_x: Composition, shape_y: Composition, delta: int
-) -> Monomial:
-    """A monomial from fields that are already a normal form, such as an
-    ``_image`` of one or its translate, built without the checks of
-    ``__post_init__``; a one-alphabet class keeps only the x block."""
-    out = _new(cls)
-    _set(out, "base", base)
-    if cls is MonomialX:
-        _set(out, "shape", shape_x)
-        return out
-    _set(out, "shape_x", shape_x)
-    _set(out, "shape_y", shape_y)
-    _set(out, "delta", delta)
-    return out
-
-
-def _normal_form(cls: type, xs: dict[int, int], ys: dict[int, int]) -> Monomial:
-    """The monomial of cleaned exponent maps (int indices, exponents >= 1),
-    built unchecked; a one-alphabet class takes an empty ``ys``."""
-    bx, sx = _block(xs)
-    by, sy = _block(ys)
-    return _trusted(cls, *_image(bx, sx, sy, by - bx))
+def _normal_form_xy(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> MonomialXY:
+    """The monomial of the sorted factors of each alphabet, built unchecked."""
+    bx, px = _block(xs)
+    by, py = _block(ys)
+    return tuple.__new__(MonomialXY, _image(bx, px, py, by - bx))
 
 
 def normal_form_x(exponents: Mapping[int, int]) -> MonomialX:
     """Normal form of a one-alphabet exponent map; the empty map gives the unit."""
-    return _normal_form(MonomialX, _clean_exponents(exponents), {})
+    return tuple.__new__(MonomialX, _block(_clean_exponents(exponents)))
 
 
 def normal_form_xy(x_exponents: Mapping[int, int], y_exponents: Mapping[int, int]) -> MonomialXY:
     """Normal form of a two-alphabet exponent pair (see module docstring)."""
-    return _normal_form(MonomialXY, _clean_exponents(x_exponents), _clean_exponents(y_exponents))
+    return _normal_form_xy(_clean_exponents(x_exponents), _clean_exponents(y_exponents))
 
 
 def format_monomial(monomial: Monomial) -> str:
@@ -233,15 +233,14 @@ def parse_monomial(text: str, alphabet: str) -> Monomial:
 
     The empty string and ``1`` denote the unit monomial.  Repeated factors
     multiply (their exponents add) in any order.  The grammar gives int indices
-    and exponents >= 1, so the maps are clean as parsed and built unchecked.
+    and exponents >= 1, so the blocks are built from the sorted factors unchecked.
     """
     if alphabet not in (ALPHABET_X, ALPHABET_XY):
         raise ValueError(f"unknown alphabet {alphabet!r}")
     stripped = text.strip()
     if stripped in ("", "1"):
         return UNIT_X if alphabet == ALPHABET_X else UNIT_XY
-    xs: dict[int, int] = {}
-    ys: dict[int, int] = {}
+    factors: tuple[list, list] = ([], [])
     pos = 0
     for token in stripped.split():
         pos = text.index(token, pos)
@@ -254,8 +253,9 @@ def parse_monomial(text: str, alphabet: str) -> Monomial:
         exponent = 1 if exp_text is None else int(exp_text)
         if exponent < 1:
             raise ParseError(f"exponent must be positive in {token!r}", pos)
-        target = xs if letter == "x" else ys
-        index = int(index_text)
-        target[index] = target.get(index, 0) + exponent
+        factors[letter == "y"].append((int(index_text), exponent))
         pos += len(token)
-    return _normal_form(MonomialX if alphabet == ALPHABET_X else MonomialXY, xs, ys)
+    xs, ys = sorted(factors[0]), sorted(factors[1])
+    if alphabet == ALPHABET_X:
+        return tuple.__new__(MonomialX, _block(xs))
+    return _normal_form_xy(xs, ys)

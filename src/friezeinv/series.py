@@ -16,7 +16,6 @@ from itertools import combinations, combinations_with_replacement
 from typing import Union
 
 from .actions import act
-from .compositions import EMPTY
 from .groups import FriezeGroup, generators
 from .monomials import (
     ALPHABET_X,
@@ -25,9 +24,9 @@ from .monomials import (
     MonomialX,
     MonomialXY,
     _block,
+    _fields,
     _image,
     _sum_blocks,
-    _trusted,
     fits_window,
     parse_monomial,
 )
@@ -120,8 +119,11 @@ class TruncatedSeries:
         return TruncatedSeries._trusted(self.alphabet, self.degree, self.window, out)
 
     def scale(self, value: Scalar) -> "TruncatedSeries":
-        factor = as_fraction(value)
-        out = {m: coeff * factor for m, coeff in self._coeffs.items()} if factor else {}
+        factor, out = as_fraction(value), {}
+        if factor:  # one product per coefficient object: terms that shared one share it
+            distinct = {id(coeff): coeff for coeff in self._coeffs.values()}
+            products = {key: coeff * factor for key, coeff in distinct.items()}
+            out = {m: products[id(coeff)] for m, coeff in self._coeffs.items()}
         return TruncatedSeries._trusted(self.alphabet, self.degree, self.window, out)
 
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -286,9 +288,10 @@ def _json_int(data: Mapping, key: str) -> int:
 def _merge(a: Monomial, b: Monomial) -> Monomial:
     """Product of two normal forms: x blocks add, and y blocks at base + delta;
     ``_image`` with no move puts the sum in normal form, built unchecked."""
-    bx, sx = _sum_blocks(a.base, a.shape_x, b.base, b.shape_x)
-    by, sy = _sum_blocks(a.base + a.delta, a.shape_y, b.base + b.delta, b.shape_y)
-    return _trusted(type(a), *_image(bx, sx, sy, by - bx))
+    (ba, xa, ya, da), (bb, xb, yb, db) = _fields(a), _fields(b)
+    bx, px = _sum_blocks(ba, xa, bb, xb)
+    by, py = _sum_blocks(ba + da, ya, bb + db, yb)
+    return tuple.__new__(type(a), _image(bx, px, py, by - bx)[: len(a)])
 
 
 def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
@@ -332,7 +335,8 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
         for monomial, coeff in coeffs.items():
             image = act(gen, monomial)
             if fits_window(image, interior):
-                if coeffs.get(image) != coeff:
+                found = coeffs.get(image)
+                if found is not coeff and found != coeff:  # shared objects skip Fraction.__eq__
                     return False
                 hits += 1
         if hits != inside:
@@ -353,7 +357,7 @@ def _symmetric(r: int, window: int, choose) -> TruncatedSeries:
     if window < 0:
         raise ValueError("window must be non-negative")
     monomials = (
-        _trusted(MonomialX, *_block({i: indices.count(i) for i in indices}), EMPTY, 0)
+        tuple.__new__(MonomialX, _block([(i, 1) for i in indices]))
         for indices in choose(range(-window, window + 1), r)
     )
     return TruncatedSeries._trusted(ALPHABET_X, r, window, dict.fromkeys(monomials, Fraction(1)))

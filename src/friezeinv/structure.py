@@ -10,7 +10,7 @@ counts components per canonical label within enumeration bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping
@@ -75,7 +75,8 @@ def decomposition_census(
 
 
 def _line_monomial(index: BasisIndex, position: int) -> Monomial:
-    return replace(representative_monomial(index), base=position)
+    rep = representative_monomial(index)
+    return tuple.__new__(type(rep), (position,) + rep[1:])
 
 
 def embed_line(

@@ -1,3 +1,8 @@
+import copy
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -111,6 +116,57 @@ def test_degenerate_invariants_enforced():
         MonomialXY(2, EMPTY, EMPTY, 0)
     with pytest.raises(ValueError):
         MonomialX(1, EMPTY)
+
+
+def test_constructor_guards_survive_python_O():
+    code = (
+        "from friezeinv import EMPTY, MonomialX, MonomialXY, composition\n"
+        "for build in (lambda: MonomialXY(0, composition(1), EMPTY, 1),\n"
+        "              lambda: MonomialXY(2, EMPTY, EMPTY, 0), lambda: MonomialX(1, EMPTY)):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted')\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_one_alphabet_and_pure_x_monomials_are_distinct_keys():
+    x, xy = normal_form_x({3: 1, 5: 2}), normal_form_xy({3: 1, 5: 2}, {})
+    assert x != xy and x.exponents() == xy.exponents()[0]
+    assert len({x: 1, xy: 2}) == 2
+    assert UNIT_X != UNIT_XY and len({UNIT_X, UNIT_XY}) == 2
+
+
+def test_monomials_compare_as_the_tuples_of_their_fields():
+    # the documented semantics: a monomial is the plain tuple of its fields
+    x = normal_form_x({3: 1, 5: 2})
+    assert x == (2, (1, 0, 2)) and hash(x) == hash((2, (1, 0, 2)))
+    xy = normal_form_xy({0: 1}, {2: 1, 3: 1})
+    assert xy == (-1, (1,), (1, 1), 2) and hash(xy) == hash((-1, (1,), (1, 1), 2))
+    # orderable like those tuples; the listing order is sort_key, which
+    # differs from it on two-alphabet monomials
+    a, b = normal_form_xy({1: 1}, {2: 1}), normal_form_xy({1: 1}, {1: 2})
+    assert a < b and a.sort_key() > b.sort_key()
+    assert sorted([b, a]) == [a, b]
+    assert sorted([b, a], key=lambda m: m.sort_key()) == [b, a]
+
+
+@pytest.mark.parametrize(
+    "monomial",
+    [normal_form_x({3: 1, 5: 2}), UNIT_X, normal_form_xy({0: 1}, {2: 1, 3: 1}),
+     normal_form_xy({}, {4: 2}), UNIT_XY],
+    ids=str,
+)
+def test_copy_deepcopy_and_pickle_round_trips(monomial):
+    copies = [copy.copy(monomial), copy.deepcopy(monomial)]
+    copies += [pickle.loads(pickle.dumps(monomial, protocol)) for protocol in range(6)]
+    for twin in copies:
+        assert type(twin) is type(monomial) and twin == monomial
+        assert (twin.base, twin.shape_x, twin.shape_y, twin.delta) == (
+            monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta)
 
 
 def test_span_and_support():

@@ -266,6 +266,30 @@ def test_is_invariant_agrees_with_the_two_action_rule(case):
     assert _outcome(is_invariant, *case) is _outcome(_two_action_rule, *case)
 
 
+@settings(max_examples=300, deadline=None)
+@given(tampered_orbit_sums())
+def test_answers_do_not_depend_on_shared_coefficient_objects(case):
+    group, series, margin = case
+    fresh = TruncatedSeries(
+        series.alphabet, series.degree, series.window,
+        [(m, Fraction(c.numerator, c.denominator)) for m, c in series.terms()],
+    )
+    assert fresh == series
+    assert len({id(c) for _, c in fresh.terms()}) == fresh.num_terms
+    for check in (is_invariant, expand_in_basis):
+        assert _outcome(check, group, fresh, margin) == _outcome(check, group, series, margin)
+
+
+def test_scale_and_add_share_one_product_per_coefficient_object():
+    window = 6
+    a = expand_basis_function(make_index(F6, composition(1), composition(2), 1), window)
+    b = expand_basis_function(make_index(F6, composition(2), composition(1), 3), window)
+    total = a.scale(Fraction(2, 3)).add(b.scale(-5))
+    assert {id(c) for _, c in a.terms()} == {id(a.terms()[0][1])}
+    assert len({id(c) for _, c in total.terms()}) == 2
+    assert sorted({c for _, c in total.terms()}) == [-5, Fraction(2, 3)]
+
+
 def test_json_rejects_exponent_notation():
     payload = x_series(2, 0).to_json_dict()
     for coeff in ("1e3", "2E-2", "-1.5e1", "1e999999999"):
