@@ -16,9 +16,10 @@ translation-coset representatives, computed by the block kernel
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .actions import _coset_moves, orbit_in_window
 from .compositions import EMPTY, Composition, _unchecked, compositions_of, parse_composition
@@ -28,34 +29,46 @@ from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _im
 from .series import TruncatedSeries, is_invariant
 
 
-@dataclass(frozen=True, slots=True)
-class BasisIndex:
-    group: FriezeGroup
-    shape_x: Composition
-    shape_y: Composition = EMPTY
-    delta: int = 0
-    primed: bool = False
+class BasisIndex(tuple):
+    """The tuple (primed, parts_x, parts_y, delta, group): it equals and orders like
+    that plain tuple, never a monomial or a label of another group.  The constructor
+    checks ``Composition`` shapes, and copy and pickle rebuild labels through it."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    primed = property(operator.itemgetter(0))
+    shape_x = property(lambda self: _unchecked(self[1]))
+    shape_y = property(lambda self: _unchecked(self[2]))
+    delta = property(operator.itemgetter(3))
+    group = property(operator.itemgetter(4))
+
+    def __new__(
+        cls, group: FriezeGroup, shape_x: Composition, shape_y: Composition = EMPTY,
+        delta: int = 0, primed: bool = False,
+    ) -> "BasisIndex":
         # a composition has order 0 exactly when it has no parts
-        x, y = self.shape_x.parts, self.shape_y.parts
+        x, y = shape_x.parts, shape_y.parts
         if not (x or y):
             raise ValueError("basis labels require total order >= 1")
-        if self.group.alphabet == ALPHABET_X:
-            if y or self.delta != 0:
-                raise ValueError(f"{self.group} labels carry a single shape")
-        elif not (x and y) and self.delta != 0:
+        if group.alphabet == ALPHABET_X:
+            if y or delta != 0:
+                raise ValueError(f"{group} labels carry a single shape")
+        elif not (x and y) and delta != 0:
             raise ValueError("delta must be 0 when either shape has order 0")
-        if self.primed and not self.group.uses_glide:
-            raise ValueError(f"{self.group} labels have no parity class")
+        if primed and not group.uses_glide:
+            raise ValueError(f"{group} labels have no parity class")
+        return tuple.__new__(cls, (primed, x, y, delta, group))
+
+    def __reduce__(self) -> tuple:  # every protocol, not only 2 up as __getnewargs__
+        return type(self), (self.group, self.shape_x, self.shape_y, self.delta, self.primed)
 
     @property
     def degree(self) -> int:
-        return self.shape_x.order + self.shape_y.order
+        return sum(self[1]) + sum(self[2])
 
     def sort_key(self) -> tuple:
         """The order on labels: the canonical label is the least, listings are sorted."""
-        return (self.primed, self.shape_x.parts, self.shape_y.parts, self.delta)
+        return self[:4]
 
     def __str__(self) -> str:
         return format_basis_label(self)
@@ -71,28 +84,28 @@ def make_index(
     """Build a (possibly non-canonical) label, normalizing the degenerate
     offset: when either shape has order 0 all offsets name the same function,
     so delta collapses to 0."""
-    if shape_x.order == 0 or shape_y.order == 0:
-        delta = 0
-    return BasisIndex(group, shape_x, shape_y, delta, primed)
+    two_blocks = shape_x.parts and shape_y.parts
+    return BasisIndex(group, shape_x, shape_y, delta if two_blocks else 0, primed)
 
 
 def representative_monomial(index: BasisIndex) -> Monomial:
     """The orbit member the label abbreviates: base 0, or base -1 when primed.
     A valid label's fields are a normal form, so it is built unchecked."""
-    fields = (-1 if index.primed else 0, index.shape_x.parts, index.shape_y.parts, index.delta)
-    one = index.group.alphabet == ALPHABET_X
+    fields = (-1 if index[0] else 0, *index[1:4])
+    one = index[4].alphabet == ALPHABET_X
     return tuple.__new__(MonomialX, fields[:2]) if one else tuple.__new__(MonomialXY, fields)
 
 
 def index_of_monomial(group: FriezeGroup, monomial: Monomial) -> BasisIndex:
     """The unique basis label whose orbit contains the monomial."""
-    if monomial.is_unit:
-        raise ValueError("the unit monomial has no basis label")
     fields, glide = _fields(monomial), group.uses_glide
-    images = (_image(*fields, *move) for move in _coset_moves(group))
-    # the sort_key of the image's label: (primed, parts_x, parts_y, delta)
-    base, px, py, delta = min(images, key=lambda f: (glide and f[0] % 2 == 1, f[1:]))
-    return BasisIndex(group, _unchecked(px), _unchecked(py), delta, glide and base % 2 == 1)
+    if not (fields[1] or fields[2]):
+        raise ValueError("the unit monomial has no basis label")
+    keys = []
+    for move in _coset_moves(group):
+        b, px, py, d = _image(*fields, *move)
+        keys.append((glide and b % 2 == 1, px, py, d))
+    return tuple.__new__(BasisIndex, (*min(keys), group))
 
 
 def canonical_index(
@@ -120,9 +133,9 @@ def enumerate_indices(
     Every raw label inside the bounds is kept when it is its own canonical
     form (the canonicity test of orderly generation); canonicalization is
     idempotent and every canonical label inside the bounds is such a raw
-    label, so each orbit is listed exactly once.  ``index_of_monomial``
-    compares the kernel images as plain tuples and builds only the label it
-    returns."""
+    label, so each orbit is listed exactly once.  The bounds apply to the
+    canonical label, so an F4, F5 or F7 orbit with a raw label inside them can
+    be missing: x[1] y[1] y[3] has delta 0 but is f7[(1),(1,0,1);Δ=-2]."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if max_parts < 1:
@@ -134,15 +147,13 @@ def enumerate_indices(
     parities = (False, True) if group.uses_glide else (False,)
     labels: list[BasisIndex] = []
     for order_x in orders:
-        for shape_x in compositions_of(order_x, max_parts):
-            for shape_y in compositions_of(degree - order_x, max_parts):
-                degenerate = order_x == 0 or order_x == degree
-                deltas = (0,) if degenerate else range(-max_abs_delta, max_abs_delta + 1)
-                for delta in deltas:
-                    for primed in parities:
-                        raw = BasisIndex(group, shape_x, shape_y, delta, primed)
-                        if index_of_monomial(group, representative_monomial(raw)) == raw:
-                            labels.append(raw)
+        deltas = range(-max_abs_delta, max_abs_delta + 1) if 0 < order_x < degree else (0,)
+        shapes_x = compositions_of(order_x, max_parts)
+        shapes_y = compositions_of(degree - order_x, max_parts)
+        for sx, sy, delta, primed in product(shapes_x, shapes_y, deltas, parities):
+            raw = tuple.__new__(BasisIndex, (primed, sx.parts, sy.parts, delta, group))
+            if index_of_monomial(group, representative_monomial(raw)) == raw:
+                labels.append(raw)
     return sorted(labels, key=BasisIndex.sort_key)
 
 

@@ -58,6 +58,9 @@ class Composition:
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
+    def __reduce__(self) -> tuple:  # copy and pickle check the parts again
+        return Composition, (self.parts,)
+
 
 EMPTY = Composition(())
 
@@ -93,7 +96,7 @@ def _compositions_with_parts(order: int, num: int) -> Iterator[Composition]:
     def rec(prefix: list[int], remaining: int, slots: int) -> Iterator[Composition]:
         if slots == 1:
             if remaining > 0:
-                yield Composition(tuple(prefix + [remaining]))
+                yield _unchecked(tuple(prefix + [remaining]))  # first >= 1, last > 0
             return
         # interior entries may be zero; the first entry must be positive
         lo = 1 if not prefix else 0

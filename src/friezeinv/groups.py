@@ -32,6 +32,8 @@ class FriezeGroup(Enum):
     F6 = "F6"
     F7 = "F7"
 
+    __hash__ = object.__hash__  # members are singletons: hashed in C, not by name
+
     @cached_property
     def alphabet(self) -> str:
         return ALPHABET_X if self in (FriezeGroup.F1, FriezeGroup.F3) else ALPHABET_XY

@@ -49,9 +49,9 @@ class _Blocks(tuple):
     base = property(operator.itemgetter(0))
     shape_x = property(lambda self: _unchecked(self[1]))
 
-    def __getnewargs__(self) -> tuple:
-        # the arguments of the checked constructor, for copy and pickle
-        return (self.base, self.shape_x, self.shape_y, self.delta)[: len(self)]
+    def __reduce__(self) -> tuple:
+        # the checked constructor, for copy and pickle at every protocol
+        return type(self), (self.base, self.shape_x, self.shape_y, self.delta)[: len(self)]
 
     # the part tuples are the fields at 1 and, in two alphabets, at 2
     @property

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from friezeinv import (
     ALPHABET_X,
     EMPTY,
     BasisIndex,
+    Composition,
     FriezeGroup,
     MonomialX,
     canonical_index,
@@ -67,6 +70,90 @@ def test_degenerate_delta_collapses():
     assert canonical_index(F1, composition(1, 1), EMPTY, 2) == pure_x
     with pytest.raises(ValueError):
         BasisIndex(F6, composition(2), EMPTY, delta=3)
+
+
+def test_labels_compare_as_the_tuples_of_their_fields():
+    # the documented semantics: a label is the plain tuple
+    # (primed, parts_x, parts_y, delta, group), and sort_key is its first four
+    idx = make_index(F6, composition(1), composition(2), -3)
+    fields = (False, (1,), (2,), -3, F6)
+    assert idx == fields and hash(idx) == hash(fields) and tuple(idx) == fields
+    assert idx.sort_key() == fields[:4]
+    a, b = make_index(F2, composition(1), composition(2), 1), make_index(F2, composition(2))
+    assert (a < b) == (tuple(a) < tuple(b)) == (a.sort_key() < b.sort_key())
+    assert sorted([b, a]) == sorted([b, a], key=BasisIndex.sort_key) == [a, b]
+    primed = make_index(F2, composition(1), composition(1), 0, primed=True)
+    assert sorted([primed, a]) == [a, primed]
+
+
+def test_labels_never_equal_monomials_or_other_groups():
+    x = make_index(F1, composition(1, 0, 2))
+    assert x != representative_monomial(x) and len({x, representative_monomial(x)}) == 2
+    xy = make_index(F6, composition(1), composition(2), -3)
+    assert xy != representative_monomial(xy) and xy != tuple(representative_monomial(xy))
+    assert make_index(F3, composition(1, 0, 2)) != x
+    for group in (F4, F7):
+        assert make_index(group, composition(1), composition(2), -3) != xy
+    assert len({make_index(g, composition(1), composition(1)) for g in (F2, F4, F5, F6, F7)}) == 5
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [make_index(F1, composition(1, 0, 2)), make_index(F6, composition(1), composition(2), -3),
+     make_index(F2, composition(1), composition(1), 0, primed=True),
+     make_index(F5, EMPTY, composition(2, 1))],
+    ids=str,
+)
+def test_label_copy_deepcopy_and_pickle_round_trips(idx):
+    copies = [copy.copy(idx), copy.deepcopy(idx)]
+    copies += [pickle.loads(pickle.dumps(idx, protocol)) for protocol in range(6)]
+    for twin in copies:
+        assert type(twin) is BasisIndex and twin == idx and hash(twin) == hash(idx)
+        assert twin.group is idx.group and str(twin) == str(idx)
+
+
+@pytest.mark.parametrize("protocol", range(6))
+def test_label_pickle_rebuilds_through_the_checked_constructor(protocol):
+    # tampered field tuples: an offset on a pure shape, a prime without a
+    # glide, a y shape in one alphabet, no shape at all, and a bad shape
+    for fields in ((False, (2,), (), 3, F6), (True, (1,), (1,), 0, F6),
+                   (False, (1,), (1,), 0, F1), (False, (), (), 0, F2),
+                   (False, (0, 1), (), 0, F1), (False, (1,), (2, -1), 0, F6)):
+        tampered = tuple.__new__(BasisIndex, fields)
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(tampered, protocol))
+        with pytest.raises(ValueError):
+            copy.deepcopy(tampered)
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_parsed_canonical_and_computed_labels_agree(group):
+    for idx in enumerate_indices(group, 3, 2, 1):
+        parsed = parse_basis_label(format_basis_label(idx))
+        canonical = canonical_index(group, idx.shape_x, idx.shape_y, idx.delta, idx.primed)
+        computed = index_of_monomial(group, representative_monomial(idx))
+        for other in (parsed, canonical, computed):
+            assert type(other) is BasisIndex
+            assert other == idx and hash(other) == hash(idx)
+            assert (other.shape_x, other.shape_y, other.degree) == (idx.shape_x, idx.shape_y, 3)
+        assert len({idx: 0, parsed: 1, canonical: 2, computed: 3}) == 1
+
+
+def test_constructor_guards():
+    with pytest.raises(ValueError, match="delta must be 0"):
+        BasisIndex(F6, composition(2), EMPTY, delta=3)
+    with pytest.raises(ValueError, match="total order"):
+        BasisIndex(F6, EMPTY, EMPTY)
+    with pytest.raises(ValueError, match="single shape"):
+        BasisIndex(F1, composition(1), composition(1))
+    with pytest.raises(ValueError, match="single shape"):
+        BasisIndex(F3, composition(1), EMPTY, 1)
+    with pytest.raises(ValueError, match="parity class"):
+        BasisIndex(F6, composition(1), composition(1), 0, True)
+    idx = BasisIndex(F2, composition(1), composition(2), -1, True)
+    assert (idx.group, idx.shape_x, idx.shape_y, idx.delta, idx.primed) == (
+        F2, composition(1), composition(2), -1, True)
+    assert isinstance(idx.shape_x, Composition) and idx.degree == 3
 
 
 @pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
@@ -203,6 +290,19 @@ def test_representatives_are_normal_forms(any_group):
             expected = normal_form_xy(*rep.exponents())
         assert type(rep) is type(expected)
         assert rep == expected and hash(rep) == hash(expected), idx
+
+
+def test_enumerate_bounds_the_canonical_delta():
+    # the raw label f7[(1),(1,0,1);Δ=0] is inside |Δ| <= 1, its orbit's
+    # canonical label is not, so the orbit is listed only from |Δ| <= 2 on
+    label = canonical_index(F7, composition(1), composition(1, 0, 1), 0)
+    assert str(label) == "f7[(1),(1,0,1);Δ=-2]"
+    assert label not in enumerate_indices(F7, 3, 3, 1)
+    assert label in enumerate_indices(F7, 3, 3, 2)
+    # an F6 swap only negates Δ, so no orbit with a raw label inside is missing
+    listed = set(enumerate_indices(F6, 3, 3, 1))
+    for rep in _raw_representatives(F6, 3, 3, 1):
+        assert index_of_monomial(F6, rep) in listed, rep
 
 
 def test_enumerate_rejects_bad_bounds():

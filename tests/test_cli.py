@@ -525,3 +525,96 @@ def test_check_on_any_series_document(tmp_path_factory, document, margin):
         assert out == "" and err.startswith("error: ")
     else:
         assert err == "" and json.loads(out)["invariant"] is (code == 0)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every command with drawn flags, groups, labels and monomials,
+# at bounded sizes (|N| <= 6, k <= 4, at most 3 parts) so that no draw runs
+# unbounded
+# ---------------------------------------------------------------------------
+
+_VALID_GROUPS = [g.value for g in FriezeGroup]
+_GROUP_ARGS = st.sampled_from(_VALID_GROUPS * 3 + ["f3", "F8", "F0", "", "x"])
+_NUMBER = st.integers(0, 6).map(str)
+_SMALL = st.one_of(_NUMBER, _NUMBER, st.integers(-6, 6).map(str), st.sampled_from(["", "x", "1.5"]))
+_MARGIN = st.one_of(st.integers(1, 2).map(str), _SMALL)
+_JUNK = st.text("xyz[]^-0123 ,()f;Δ='", max_size=10)
+
+
+@st.composite
+def _monomial_texts(draw):
+    factors = draw(st.lists(
+        st.tuples(st.sampled_from("xxxyy"), st.integers(-6, 6), st.integers(1, 3)), max_size=4
+    ))
+    text = " ".join(f"{v}[{i}]" + (f"^{e}" if e != 1 else "") for v, i, e in factors)
+    return draw(st.sampled_from([text] * 4 + [draw(_JUNK)]))
+
+
+@st.composite
+def _shape_texts(draw):
+    parts = draw(st.lists(st.integers(0, 3), max_size=3))
+    if parts and draw(st.integers(0, 3)) < 3:  # mostly positive ends
+        parts[0], parts[-1] = parts[0] or 1, parts[-1] or 2
+    return "(" + ",".join(map(str, parts)) + ")"
+
+
+@st.composite
+def _label_texts(draw):
+    digit = draw(st.sampled_from(list(range(1, 8)) * 3 + [0, 8]))
+    prime = draw(st.sampled_from(["", "", "", "'"]))
+    body = draw(_shape_texts())
+    if (digit not in (1, 3)) is not (draw(st.integers(0, 7)) == 7):  # mostly the right form
+        offset = draw(st.sampled_from(["Δ="] * 4 + ["delta=", ""])) + draw(_SMALL)
+        body += f",{draw(_shape_texts())};{offset}"
+    return draw(st.sampled_from([f"f{digit}{prime}[{body}]"] * 4 + [draw(_JUNK)]))
+
+
+@st.composite
+def _argvs(draw, paths):
+    command = draw(st.sampled_from(["canon", "expand", "check", "census", "symfunc", "orbit",
+                                    "stab", "bogus"]))
+    group = ["--group", draw(_GROUP_ARGS)]
+    window = ["-N", draw(_SMALL)]
+    if command in ("canon", "stab"):
+        argv = [command, *group, draw(_monomial_texts())]
+    elif command == "orbit":
+        argv = [command, *group, draw(_monomial_texts()), *window]
+    elif command == "expand":
+        argv = [command, draw(_label_texts()), *window]
+    elif command == "check":
+        argv = [command, *group, draw(st.sampled_from(paths)), "--margin", draw(_MARGIN)]
+    elif command == "census":
+        argv = [command, *group, "-k", str(draw(st.integers(-1, 4))),
+                "--max-parts", str(draw(st.integers(-1, 3))),
+                "--max-delta", str(draw(st.integers(-2, 3)))]
+    elif command == "symfunc":
+        argv = [command, draw(st.sampled_from(["e", "h", "e", "h", "q"])),
+                str(draw(st.integers(-1, 4))), *window]
+        if draw(st.booleans()):
+            argv += [*group, "--expand-basis", "--margin", draw(_MARGIN)]
+    else:
+        argv = [command]
+    if draw(st.integers(0, 7)) == 7:  # drop trailing arguments, sometimes required ones
+        argv = argv[: draw(st.integers(1, len(argv)))]
+    return argv + draw(st.lists(st.sampled_from(["--json"] * 4 + ["--bogus", "-N"]), max_size=1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_any_argv_ends_in_an_answer_or_a_usage_error(tmp_path_factory, data):
+    folder = tmp_path_factory.getbasetemp() / "argv_fuzz"
+    if not folder.exists():
+        folder.mkdir()
+        (folder / "e2.json").write_text(json.dumps(elementary_sym(2, 2).to_json_dict()))
+        perturbed = elementary_sym(2, 2).to_json_dict()
+        perturbed["terms"][0]["coeff"] = "2"
+        (folder / "bad.json").write_text(json.dumps(perturbed))
+        (folder / "junk.json").write_text("{")
+    names = ("e2.json", "e2.json", "bad.json", "bad.json", "junk.json", "missing.json", "")
+    argv = data.draw(_argvs([str(folder / name) for name in names]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue() + out.getvalue(), argv
+    assert code != 1 or argv[0] == "check", argv

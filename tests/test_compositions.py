@@ -1,10 +1,14 @@
+import copy
+import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from friezeinv import EMPTY, Composition, composition, compositions_of, parse_composition
+from friezeinv.compositions import _unchecked
 from friezeinv.errors import ParseError
 
 
@@ -26,6 +30,18 @@ def test_empty_composition():
 def test_invalid_parts_rejected(parts):
     with pytest.raises(ValueError):
         Composition(parts)
+
+
+@pytest.mark.parametrize("protocol", range(6))
+def test_copy_and_pickle_rebuild_through_the_checked_constructor(protocol):
+    c = composition(2, 0, 1)
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c, protocol))):
+        assert twin == c and type(twin.parts) is tuple
+    tampered = _unchecked((0, -1))
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(tampered, protocol))
+    with pytest.raises(ValueError):
+        copy.copy(tampered)
 
 
 def test_non_integer_parts_rejected():
@@ -80,6 +96,23 @@ def test_order_one_forces_single_part():
 
 def test_order_zero_is_only_empty():
     assert list(compositions_of(0, 3)) == [EMPTY]
+
+
+@pytest.mark.parametrize("order", range(7))
+@pytest.mark.parametrize("max_parts", [1, 2, 3, 4])
+def test_enumerated_compositions_equal_checked_ones(order, max_parts):
+    # the enumeration builds its compositions unchecked; each must be the one
+    # the checked constructor makes of the same parts, in the documented order
+    brute = [
+        parts
+        for num in range(1, max_parts + 1)
+        for parts in itertools.product(range(order + 1), repeat=num)
+        if sum(parts) == order and parts[0] and parts[-1]
+    ]
+    expected = [Composition(parts) for parts in brute] if order else [EMPTY]
+    got = list(compositions_of(order, max_parts))
+    assert got == expected
+    assert [type(c.parts) for c in got] == [tuple] * len(got)
 
 
 def test_enumeration_is_deterministic():

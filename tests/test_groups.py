@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 
@@ -34,6 +36,19 @@ RELATORS = {
 )
 def test_relators_normalize_to_identity(group, relator):
     assert parse_word(group, relator).is_identity
+
+
+def test_groups_are_singletons_so_identity_hashing_is_sound():
+    # FriezeGroup hashes by identity, which agrees with equality only because
+    # every copy, pickle and lookup of a member gives the member itself
+    for group in FriezeGroup:
+        twins = [copy.copy(group), copy.deepcopy(group), FriezeGroup(group.value),
+                 FriezeGroup[group.name]]
+        twins += [pickle.loads(pickle.dumps(group, protocol)) for protocol in range(6)]
+        assert all(twin is group and hash(twin) == hash(group) for twin in twins)
+    element = parse_word(F7, "v*h*t^2")
+    assert pickle.loads(pickle.dumps(element)) == element
+    assert hash(pickle.loads(pickle.dumps(element))) == hash(element)
 
 
 def test_multiplication_examples():

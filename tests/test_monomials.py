@@ -169,6 +169,17 @@ def test_copy_deepcopy_and_pickle_round_trips(monomial):
             monomial.base, monomial.shape_x, monomial.shape_y, monomial.delta)
 
 
+@pytest.mark.parametrize("protocol", range(6))
+def test_pickle_rebuilds_through_the_checked_constructor(protocol):
+    # protocols 0 and 1 ignore __getnewargs__, so the reduction is __reduce__
+    for fields, cls in (((3, (), (), 5), MonomialXY), ((2, ()), MonomialX)):
+        tampered = tuple.__new__(cls, fields)
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(tampered, protocol))
+    with pytest.raises(ValueError):
+        copy.copy(tuple.__new__(MonomialXY, (0, (1,), (), 2)))
+
+
 def test_span_and_support():
     m = normal_form_xy({0: 1}, {3: 2})
     assert m.support() == (0, 3)
