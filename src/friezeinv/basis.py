@@ -181,11 +181,12 @@ def expand_in_basis(
 
     Coefficients are read off the series rather than solved for; an index is
     reported when its representative monomial is supported in the interior
-    window [-window+margin, window-margin].  Non-invariant input, and a
-    margin that leaves no interior, are rejected by ``is_invariant``.  Each
-    orbit met in the interior is then labelled once and cross-checked: every
-    orbit member in the interior must carry the coefficient of the term that
-    found it, so the reported combination reconstructs the series there.
+    window [-window+margin, window-margin], and the labels come in ``sort_key``
+    order.  Non-invariant input, and a margin that leaves no interior, are
+    rejected by ``is_invariant``.  Each orbit met in the interior is then
+    labelled once, with the coefficient of the term that met it: the interior
+    members of an orbit are joined by generator steps that stay in the
+    interior, and ``is_invariant`` has compared coefficients across each one.
     """
     if series.degree < 1:
         raise ValueError("degree-0 series have no orbit-sum expansion")
@@ -194,18 +195,14 @@ def expand_in_basis(
     interior = series.window - margin
     out: dict[BasisIndex, Fraction] = {}
     seen: set[Monomial] = set()
-    for monomial, coeff in series.terms():
+    for monomial, coeff in series._coeffs.items():
         if monomial in seen or not fits_window(monomial, interior):
             continue
+        seen.update(orbit_in_window(group, monomial, interior))
         index = index_of_monomial(group, monomial)
-        for member in orbit_in_window(group, monomial, interior):
-            found = series.coefficient(member)
-            if found is not coeff and found != coeff:
-                raise ValueError(f"reconstruction mismatch at {member} for {index}")
-            seen.add(member)
         if fits_window(representative_monomial(index), interior):
             out[index] = coeff
-    return out
+    return {index: out[index] for index in sorted(out, key=BasisIndex.sort_key)}
 
 
 _LABEL_RE = re.compile(r"f([1-7])(')?\[(.*)\]\s*$")

@@ -173,7 +173,7 @@ def _cmd_symfunc(args) -> int:
         payload["group"] = args.group.value
         payload["basis"] = [
             {"index": format_basis_label(index), "coeff": str(coeff)}
-            for index, coeff in sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())
+            for index, coeff in coeffs.items()
         ]
     _print_json(payload)
     return EXIT_OK

@@ -14,6 +14,7 @@ the shift generator by v (or r) inverts it, while h commutes with everything.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -79,6 +80,10 @@ class GroupElement:
         for letter, value in (("v", self.v), ("h", self.h), ("r", self.r)):
             if value and letter not in allowed:
                 raise ValueError(f"{self.group} has no generator {letter!r}")
+        object.__setattr__(self, "power", operator.index(self.power))  # no float shifts
+
+    def __reduce__(self) -> tuple:  # the checked constructor, for copy and pickle
+        return type(self), (self.group, self.v, self.h, self.r, self.power)
 
     @property
     def reverses_shift(self) -> bool:

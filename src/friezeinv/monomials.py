@@ -40,6 +40,15 @@ def _fields(monomial: tuple) -> tuple[int, _Parts, _Parts, int]:
     return monomial if len(monomial) == 4 else (*monomial, (), 0)
 
 
+def _support(base: int, px: _Parts, py: _Parts = (), delta: int = 0) -> tuple[int, int] | None:
+    """``support`` of the fields of a monomial of either alphabet."""
+    m, mp = len(px), len(py)
+    if not (m and mp):
+        # a single block is anchored at base + 1, whichever alphabet it is
+        return (base + 1, base + m + mp) if m or mp else None
+    return (base + 1 + min(0, delta), base + max(m, delta + mp))
+
+
 class _Blocks(tuple):
     """The members both alphabets share, over the x block (base, parts_x) and
     the y block (base + delta, parts_y)."""
@@ -71,12 +80,7 @@ class _Blocks(tuple):
 
     def support(self) -> tuple[int, int] | None:
         """(smallest, largest) variable index present, or None for the unit."""
-        base, px, py, delta = _fields(self)
-        m, mp = len(px), len(py)
-        if not (m and mp):
-            # a single block is anchored at base + 1, whichever alphabet it is
-            return (base + 1, base + m + mp) if m or mp else None
-        return (base + 1 + min(0, delta), base + max(m, delta + mp))
+        return _support(*self)
 
     @property
     def span(self) -> int:

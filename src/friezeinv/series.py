@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, starmap
 from typing import Union
 
-from .actions import act
+from .actions import _moves, act
 from .groups import FriezeGroup, generators
 from .monomials import (
     ALPHABET_X,
@@ -27,6 +27,7 @@ from .monomials import (
     _fields,
     _image,
     _sum_blocks,
+    _support,
     fits_window,
     parse_monomial,
 )
@@ -314,10 +315,12 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
     interior terms.  A generator is a bijection, so the count falls short
     exactly when some interior term has a preimage that is not a term.  margin >= 1
     keeps the preimages of interior monomials inside the window (the shift
-    generators move indices by one; reflections preserve the symmetric
-    interior), and margin <= window keeps at least one index in the interior.
-    A nonzero series with no interior term and no interior image is rejected
-    too: nothing would be checked.
+    generators move indices by one), and margin <= window keeps at least one
+    index in the interior.  A nonzero series with no interior term and no
+    interior image is rejected too: nothing would be checked.  Each term's
+    support [lo, hi] is read once: a shift by z moves it to [lo+z, hi+z], a
+    reflection then to [-hi-z, -lo-z] and a block swap keeps it, so on the
+    symmetric interior the shift alone decides which images to build.
     """
     if margin < 1:
         raise ValueError("margin must be at least 1")
@@ -328,13 +331,19 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
         )
     if group.alphabet != series.alphabet:
         raise ValueError(f"{group} does not act on alphabet {series.alphabet}")
+    if series.degree == 0:  # the unit: fixed by every element, in every window
+        return True
     interior, coeffs = series.window - margin, series._coeffs
-    inside = sum(fits_window(monomial, interior) for monomial in coeffs)
-    for gen in generators(group):
-        hits = 0
-        for monomial, coeff in coeffs.items():
-            image = act(gen, monomial)
-            if fits_window(image, interior):
+    supports = list(starmap(_support, coeffs))
+    inside = sum(-interior <= lo and hi <= interior for lo, hi in supports)
+    for z, reflect, swap in map(_moves, generators(group)):
+        hits, low, high = 0, -interior - z, interior - z
+        for (monomial, coeff), (lo, hi) in zip(coeffs.items(), supports):
+            if low <= lo and hi <= high:
+                if reflect or swap:  # a plain tuple finds the monomial it equals
+                    image = _image(*_fields(monomial), z, reflect, swap)[: len(monomial)]
+                else:
+                    image = (monomial[0] + z, *monomial[1:])
                 found = coeffs.get(image)
                 if found is not coeff and found != coeff:  # shared objects skip Fraction.__eq__
                     return False

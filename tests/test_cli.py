@@ -618,3 +618,19 @@ def test_any_argv_ends_in_an_answer_or_a_usage_error(tmp_path_factory, data):
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue() + out.getvalue(), argv
     assert code != 1 or argv[0] == "check", argv
+
+
+def test_degree_zero_series_check_at_every_margin(tmp_path, capsys):
+    # the unit lies in every window, also after a shift: margin == N passes
+    path = tmp_path / "unit.json"
+    for group in FriezeGroup:
+        for window in (1, 2, 3):
+            payload = {"alphabet": group.alphabet, "degree": 0, "window": window,
+                       "terms": [{"monomial": "1", "coeff": "3"}]}
+            path.write_text(json.dumps(payload))
+            for margin in range(1, window + 1):
+                code, out, err = run_cli(
+                    capsys, "check", "--group", group.value, str(path), "--margin", str(margin)
+                )
+                assert (code, err) == (0, ""), (group, window, margin)
+                assert json.loads(out)["invariant"] is True

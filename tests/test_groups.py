@@ -2,16 +2,19 @@ import copy
 import pickle
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from friezeinv import (
     FriezeGroup,
     GroupElement,
+    act,
     format_word,
     generator,
     generators,
     identity,
+    normal_form_x,
     parse_word,
     shift,
 )
@@ -49,6 +52,32 @@ def test_groups_are_singletons_so_identity_hashing_is_sound():
     element = parse_word(F7, "v*h*t^2")
     assert pickle.loads(pickle.dumps(element)) == element
     assert hash(pickle.loads(pickle.dumps(element))) == hash(element)
+
+
+def test_tampered_elements_are_rejected_by_copy_and_pickle():
+    # copy and pickle go through the checked constructor, as for labels
+    tampered = GroupElement(F1)
+    object.__setattr__(tampered, "v", True)
+    for protocol in range(6):
+        with pytest.raises(ValueError, match="no generator 'v'"):
+            pickle.loads(pickle.dumps(tampered, protocol))
+    for clone in (copy.copy, copy.deepcopy):
+        with pytest.raises(ValueError, match="no generator 'v'"):
+            clone(tampered)
+    element = parse_word(F7, "v*h*t^-2")
+    twins = [pickle.loads(pickle.dumps(element, protocol)) for protocol in range(6)]
+    assert all(twin == element for twin in [*twins, copy.copy(element), copy.deepcopy(element)])
+
+
+def test_power_must_be_an_integer():
+    # a float power would give monomials with float bases
+    for power in (1.5, 1.0, "1", Fraction(1)):
+        with pytest.raises(TypeError):
+            GroupElement(F1, power=power)
+    with pytest.raises(TypeError):
+        act(GroupElement(F1, power=1.5), normal_form_x({1: 1}))
+    power = GroupElement(F1, power=True).power
+    assert power == 1 and type(power) is int
 
 
 def test_multiplication_examples():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from friezeinv import (
     ALPHABET_X,
     ALPHABET_XY,
+    BasisIndex,
     Composition,
     FriezeGroup,
     MonomialX,
     MonomialXY,
     TruncatedSeries,
     UNIT_X,
+    UNIT_XY,
     act,
     act_series,
     complete_sym,
@@ -25,16 +28,19 @@ from friezeinv import (
     expand_in_basis,
     generator,
     generators,
+    index_of_monomial,
     is_invariant,
     make_index,
     normal_form_x,
     normal_form_xy,
+    orbit_in_window,
     representative_monomial,
     shift,
 )
-from friezeinv.actions import orbit_coset_representatives
+from friezeinv.actions import orbit_coset_representatives, translation_coset_representatives
 from friezeinv.monomials import fits_window
 from friezeinv.series import _merge
+from conftest import group_monomials
 
 F1, F2, F3, F4, F5, F6, F7 = FriezeGroup
 
@@ -361,6 +367,135 @@ def test_library_built_series_pass_the_validating_constructor(abc, factor, windo
         results.append(expand_basis_function(label, window + 3))
     for result in results:
         assert _rebuilt(result) == result
+
+
+def _one_action_rule(group, series, margin):
+    """The reference invariance rule, through the public ``act`` and
+    ``fits_window``: each generator acts once on each term; the interior images
+    keep their term's coefficient and are as many as the interior terms."""
+    if margin < 1:
+        raise ValueError("margin must be at least 1")
+    if margin > series.window:
+        raise ValueError("interior is empty")
+    if group.alphabet != series.alphabet:
+        raise ValueError("does not act on alphabet")
+    interior, terms = series.window - margin, series.terms()
+    inside = sum(fits_window(monomial, interior) for monomial, _ in terms)
+    for gen in generators(group):
+        images = [(act(gen, monomial), coeff) for monomial, coeff in terms]
+        hits = [(image, coeff) for image, coeff in images if fits_window(image, interior)]
+        if any(series.coefficient(image) != coeff for image, coeff in hits):
+            return False
+        if len(hits) != inside:
+            return False
+    if terms and not inside:
+        raise ValueError("nothing to check")
+    return True
+
+
+def _same_outcome(check, reference, *case):
+    """Both return the same value, or both raise ValueError and the message of
+    ``check`` holds the reference's phrase."""
+    try:
+        want = reference(*case)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            check(*case)
+        return
+    assert check(*case) == want
+
+
+@st.composite
+def any_series_case(draw):
+    """An arbitrary series of degree 0..3 over a window 1..4 in the alphabet of
+    a drawn group, and a margin 1..window."""
+    group = draw(st.sampled_from(list(FriezeGroup)))
+    window = draw(st.integers(1, 4))
+    series = draw(small_series(group.alphabet, draw(st.integers(0, 3)), window))
+    return group, series, draw(st.integers(1, window))
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_series_case())
+def test_is_invariant_agrees_with_the_one_action_rule_on_any_series(case):
+    _same_outcome(is_invariant, _one_action_rule, *case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_orbit_sums())
+def test_is_invariant_agrees_with_the_one_action_rule_on_orbit_sums(case):
+    _same_outcome(is_invariant, _one_action_rule, *case)
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=str)
+def test_images_move_the_support_by_the_shift_then_reflect(group):
+    # the law the invariance kernel reads image supports by: t^z and g^z move
+    # [lo, hi] to [lo+z, hi+z], v and r then map it to [-hi, -lo], h keeps it
+    elements = {
+        rep * shift(group, z)
+        for rep in (*generators(group), *translation_coset_representatives(group))
+        for z in range(-2, 3)
+    }
+    unit = UNIT_X if group.alphabet == ALPHABET_X else UNIT_XY
+    for element in elements:
+        assert act(element, unit).support() is None
+        for monomial in group_monomials(group, 3, 3, range(-3, 2)):
+            lo, hi = monomial.support()
+            lo, hi = lo + element.power, hi + element.power
+            if element.reverses_shift:
+                lo, hi = -hi, -lo
+            assert act(element, monomial).support() == (lo, hi), (element, monomial)
+
+
+@pytest.mark.parametrize("alphabet", [ALPHABET_X, ALPHABET_XY])
+def test_degree_zero_series_are_invariant_at_every_margin(alphabet):
+    # the unit has no support and lies in every window, also after a shift,
+    # so the widest margin (interior [0, 0]) passes too
+    unit = UNIT_X if alphabet == ALPHABET_X else UNIT_XY
+    for window in range(1, 5):
+        for terms in ({unit: 3}, {unit: Fraction(-2, 7)}, {}):
+            series = TruncatedSeries(alphabet, 0, window, terms)
+            for group in FriezeGroup:
+                if group.alphabet != alphabet:
+                    continue
+                for margin in range(1, window + 1):
+                    assert is_invariant(group, series, margin) is True
+                    assert _one_action_rule(group, series, margin) is True
+
+
+def _sorted_walk_with_recheck(group, series, margin):
+    """The reference expansion: a walk over the terms in listing order that
+    checks every interior orbit member against the term that found it."""
+    if series.degree < 1:
+        raise ValueError("degree-0 series have no orbit-sum expansion")
+    if not is_invariant(group, series, margin):
+        raise ValueError("series is not invariant on the interior window")
+    interior = series.window - margin
+    out, seen = {}, set()
+    for monomial, coeff in series.terms():
+        if monomial in seen or not fits_window(monomial, interior):
+            continue
+        index = index_of_monomial(group, monomial)
+        for member in orbit_in_window(group, monomial, interior):
+            if series.coefficient(member) != coeff:
+                raise ValueError(f"reconstruction mismatch at {member} for {index}")
+            seen.add(member)
+        if fits_window(representative_monomial(index), interior):
+            out[index] = coeff
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_orbit_sums())
+def test_expand_in_basis_agrees_with_the_checked_sorted_walk(case):
+    _same_outcome(expand_in_basis, _sorted_walk_with_recheck, *case)
+    try:
+        labels = list(expand_in_basis(*case))
+    except ValueError:
+        return
+    assert labels == sorted(labels, key=BasisIndex.sort_key)
+
+
 def test_elementary_examples():
     assert elementary_sym(0, 2) == TruncatedSeries(ALPHABET_X, 0, 2, {UNIT_X: 1})
     assert elementary_sym(1, 1) == x_series(1, -1, 0, 1)
