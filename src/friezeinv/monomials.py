@@ -136,7 +136,7 @@ UNIT_XY = MonomialXY(0, EMPTY, EMPTY, 0)
 
 def fits_window(monomial: Monomial, window: int) -> bool:
     """True when the monomial is the unit or its support lies in [-window, window]."""
-    sup = monomial.support()
+    sup = _support(*monomial)
     return sup is None or (-window <= sup[0] and sup[1] <= window)
 
 
@@ -158,8 +158,11 @@ def _block(factors: list[tuple[int, int]]) -> tuple[int, _Parts]:
     least and the greatest index carry positive exponents, so no check is due."""
     if not factors:
         return 0, ()
-    lo = factors[0][0]
-    parts = [0] * (factors[-1][0] - lo + 1)
+    lo, hi = factors[0][0], factors[-1][0]
+    try:
+        parts = [0] * (hi - lo + 1)
+    except (MemoryError, OverflowError):
+        raise ValueError(f"a block from index {lo} to {hi} is too wide to store") from None
     for index, exponent in factors:
         parts[index - lo] += exponent
     return lo - 1, tuple(parts)
@@ -239,27 +242,36 @@ def parse_monomial(text: str, alphabet: str) -> Monomial:
     multiply (their exponents add) in any order.  The grammar gives int indices
     and exponents >= 1, so the blocks are built from the sorted factors unchecked.
     """
+    return _parse_monomial(text, alphabet, {})
+
+
+def _parse_monomial(text: str, alphabet: str, factors_read: dict) -> Monomial:
+    """``parse_monomial`` reading only the tokens not in ``factors_read``, one alphabet's memo."""
     if alphabet not in (ALPHABET_X, ALPHABET_XY):
         raise ValueError(f"unknown alphabet {alphabet!r}")
     stripped = text.strip()
     if stripped in ("", "1"):
         return UNIT_X if alphabet == ALPHABET_X else UNIT_XY
     factors: tuple[list, list] = ([], [])
-    pos = 0
     for token in stripped.split():
-        pos = text.index(token, pos)
-        match = _FACTOR_RE.fullmatch(token)
-        if match is None:
-            raise ParseError(f"bad monomial factor {token!r}", pos)
-        letter, index_text, exp_text = match.groups()
-        if letter == "y" and alphabet == ALPHABET_X:
-            raise ParseError("y-variables are not allowed in a one-alphabet monomial", pos)
-        exponent = 1 if exp_text is None else int(exp_text)
-        if exponent < 1:
-            raise ParseError(f"exponent must be positive in {token!r}", pos)
-        factors[letter == "y"].append((int(index_text), exponent))
-        pos += len(token)
-    xs, ys = sorted(factors[0]), sorted(factors[1])
+        factor = factors_read.get(token)
+        if factor is None:
+            match = _FACTOR_RE.fullmatch(token)
+            if match is None:
+                fault = f"bad monomial factor {token!r}"
+            elif match[1] == "y" and alphabet == ALPHABET_X:
+                fault = "y-variables are not allowed in a one-alphabet monomial"
+            elif (exponent := 1 if match[3] is None else int(match[3])) < 1:
+                fault = f"exponent must be positive in {token!r}"
+            else:
+                factor = factors_read[token] = (match[1] == "y", (int(match[2]), exponent))
+            if factor is None:  # not kept, so its first whole-token match is this token
+                where = re.search(rf"(?<!\S){re.escape(token)}(?!\S)", text)
+                raise ParseError(fault, where.start())
+        factors[factor[0]].append(factor[1])
+    xs, ys = factors
+    xs.sort()
     if alphabet == ALPHABET_X:
         return tuple.__new__(MonomialX, _block(xs))
+    ys.sort()
     return _normal_form_xy(xs, ys)

@@ -10,7 +10,7 @@ interior margin.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, starmap
 from typing import Union
@@ -26,10 +26,10 @@ from .monomials import (
     _block,
     _fields,
     _image,
+    _parse_monomial,
     _sum_blocks,
     _support,
     fits_window,
-    parse_monomial,
 )
 
 Scalar = Union[int, str, Fraction]
@@ -64,10 +64,15 @@ class TruncatedSeries:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "window", window)
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        object.__setattr__(
-            self, "_coeffs", _accumulate(_checked_terms(items, alphabet, degree, window))
-        )
+        expected, store = MonomialX if alphabet == ALPHABET_X else MonomialXY, {}
+        for monomial, value in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
+            if not isinstance(monomial, expected):
+                raise TypeError(f"expected {expected.__name__} keys for alphabet {alphabet}")
+            fault = _term_fault(monomial, degree, window)
+            if fault:
+                raise ValueError(fault)
+            _accumulate(((monomial, as_fraction(value)),), store)
+        object.__setattr__(self, "_coeffs", store)
 
     def __setattr__(self, name, value):  # noqa: ANN001
         raise AttributeError("TruncatedSeries is immutable")
@@ -204,8 +209,9 @@ class TruncatedSeries:
         with a monomial string and a coefficient that is a JSON integer or
         an exact rational string such as ``"-3/2"``; exponent notation such
         as ``"1e9"`` is rejected.  Terms that name one monomial, in any spelling,
-        add (zero sums are dropped).  Each distinct coefficient is parsed once
-        per call; the terms still go through the validating constructor.
+        add (zero sums are dropped).  Each distinct coefficient and each distinct
+        factor token is read once per call, and each term is checked once, as it
+        is read; the errors are the validating constructor's, in its order.
         """
         if not isinstance(data, Mapping):
             raise ValueError("malformed series object: expected a JSON object")
@@ -218,9 +224,10 @@ class TruncatedSeries:
             raise ValueError(f"malformed series object: missing {exc}") from exc
         if not isinstance(raw_terms, list):
             raise ValueError("malformed series object: terms must be a list")
-        terms, values = [], {}
+        values, factors_read, store, fault = {}, {}, {}, None
         for n, entry in enumerate(raw_terms):
-            if not isinstance(entry, Mapping) or not isinstance(entry.get("monomial"), str):
+            # dict first: the check against the Mapping ABC costs more than the rest of it
+            if not isinstance(entry, (dict, Mapping)) or not isinstance(entry.get("monomial"), str):
                 raise ValueError(f"malformed term {n}: expected a string \"monomial\"")
             coeff = entry.get("coeff")
             if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
@@ -240,26 +247,22 @@ class TruncatedSeries:
                     value = values[coeff] = Fraction(coeff)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"malformed term {n}: bad coefficient {coeff!r}") from exc
-            terms.append((parse_monomial(entry["monomial"], alphabet), value))
-        return cls(alphabet, degree, window, terms)
+            monomial = _parse_monomial(entry["monomial"], alphabet, factors_read)
+            fault = fault or _term_fault(monomial, degree, window)
+            _accumulate(((monomial, value),), store)
+        cls(alphabet, degree, window)  # its checks precede a term's fault, as in the constructor
+        if fault:
+            raise ValueError(fault)
+        return cls._trusted(alphabet, degree, window, store)
 
 
-def _checked_terms(
-    items: Iterable[tuple[Monomial, Scalar]], alphabet: str, degree: int, window: int
-) -> Iterator[tuple[Monomial, Fraction]]:
-    """Caller-supplied terms, each checked against the series' alphabet,
-    degree and window, with the value made a Fraction."""
-    expected = MonomialX if alphabet == ALPHABET_X else MonomialXY
-    for monomial, value in items:
-        if not isinstance(monomial, expected):
-            raise TypeError(f"expected {expected.__name__} keys for alphabet {alphabet}")
-        if monomial.degree != degree:
-            raise ValueError(
-                f"monomial {monomial} has degree {monomial.degree}, series has degree {degree}"
-            )
-        if not fits_window(monomial, window):
-            raise ValueError(f"monomial {monomial} is not supported in [-{window}, {window}]")
-        yield monomial, as_fraction(value)
+def _term_fault(monomial: Monomial, degree: int, window: int) -> str | None:
+    """Why the monomial cannot be a term of a series of this degree and window, or None."""
+    if monomial.degree != degree:
+        return f"monomial {monomial} has degree {monomial.degree}, series has degree {degree}"
+    if not fits_window(monomial, window):
+        return f"monomial {monomial} is not supported in [-{window}, {window}]"
+    return None
 
 
 def _accumulate(

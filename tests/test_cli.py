@@ -302,6 +302,27 @@ def test_check_non_integer_degree_or_window_is_usage_error(tmp_path, capsys):
         _assert_clean_usage_error(*_check_payload(tmp_path, capsys, payload))
 
 
+# a span of 10^15 indices: the block list of such a monomial cannot be allocated
+_WIDE = 10**15
+
+
+def test_too_wide_monomial_is_usage_error(tmp_path, capsys):
+    half = _WIDE // 2
+    for argv in (
+        ["canon", "--group", "F1", f"x[0] x[{_WIDE}]"],
+        ["orbit", "--group", "F6", f"y[{-_WIDE}] x[1] y[0]", "-N", "3"],
+        ["stab", "--group", "F3", f"x[0] x[{10**30}]"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        _assert_clean_usage_error(code, out, err)
+        assert "too wide" in err
+    payload = {"alphabet": "X", "degree": 2, "window": _WIDE,
+               "terms": [{"monomial": f"x[{-half}] x[{half}]", "coeff": "1"}]}
+    code, out, err = _check_payload(tmp_path, capsys, payload)
+    _assert_clean_usage_error(code, out, err)
+    assert "too wide" in err
+
+
 def test_symfunc_margin_beyond_window_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "symfunc", "e", "2", "-N", "2", "--expand-basis", "--margin", "5"

@@ -249,7 +249,20 @@ def test_parse_rejects_y_in_single_alphabet():
     parse_monomial("y[1]", ALPHABET_XY)
 
 
-def test_parse_error_reports_position():
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("x[1] q[2]", 5),
+        # the offset of the token as a whole, not of an earlier token it is a prefix of
+        ("x[1] x[1", 5),
+        ("  x[2]\tx[2] x[2", 12),
+        ("x[1]^2 x[1]^", 7),
+        ("x[1 x[0] x[1", 0),
+        ("x[0] x[0] x[0]^0 x[0]^0", 10),
+        ("y[0]^1 x[1] y[0]^", 12),
+    ],
+)
+def test_parse_error_reports_position(text, position):
     with pytest.raises(ParseError) as info:
-        parse_monomial("x[1] q[2]", ALPHABET_XY)
-    assert info.value.position == 5
+        parse_monomial(text, ALPHABET_XY)
+    assert info.value.position == position

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from friezeinv import (
@@ -34,10 +34,12 @@ from friezeinv import (
     normal_form_x,
     normal_form_xy,
     orbit_in_window,
+    parse_monomial,
     representative_monomial,
     shift,
 )
 from friezeinv.actions import orbit_coset_representatives, translation_coset_representatives
+from friezeinv.errors import ParseError
 from friezeinv.monomials import fits_window
 from friezeinv.series import _merge
 from conftest import group_monomials
@@ -580,6 +582,144 @@ def test_json_coefficients_are_exact_strings():
     s = x_series(2, 0).scale(Fraction(3, 2))
     payload = s.to_json_dict()
     assert payload["terms"] == [{"monomial": "x[0]", "coeff": "3/2"}]
+
+
+def _per_term_from_json(data):
+    """The loader as a per-term path: each coefficient and each monomial read
+    on its own by ``parse_monomial``, and the terms handed to the validating
+    constructor, with the loader's messages in the loader's order."""
+    if not isinstance(data, dict):
+        raise ValueError("malformed series object: expected a JSON object")
+    try:
+        alphabet = data["alphabet"]
+        header = []
+        for key in ("degree", "window"):
+            value = data[key]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"malformed series object: {key} must be an integer, got {value!r}"
+                )
+            header.append(value)
+        raw_terms = data["terms"]
+    except KeyError as exc:
+        raise ValueError(f"malformed series object: missing {exc}") from exc
+    if not isinstance(raw_terms, list):
+        raise ValueError("malformed series object: terms must be a list")
+    terms = []
+    for n, entry in enumerate(raw_terms):
+        if not isinstance(entry, dict) or not isinstance(entry.get("monomial"), str):
+            raise ValueError(f'malformed term {n}: expected a string "monomial"')
+        coeff = entry.get("coeff")
+        if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
+            raise ValueError(
+                f"malformed term {n}: coefficient must be an integer or a string, got {coeff!r}"
+            )
+        if isinstance(coeff, str) and "e" in coeff.lower():
+            raise ValueError(
+                f"malformed term {n}: exponent notation is not allowed, got {coeff!r}"
+            )
+        try:
+            value = Fraction(coeff)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed term {n}: bad coefficient {coeff!r}") from exc
+        terms.append((parse_monomial(entry["monomial"], alphabet), value))
+    return TruncatedSeries(alphabet, *header, terms)
+
+
+def _load_outcome(load, data):
+    try:
+        return load(data)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# the window of the documents is 2 unless it is a drawn fault
+_VARIABLES = {"X": [f"x[{i}]" for i in range(-2, 3)],
+              "XY": [f"x[{i}]" for i in range(-2, 3)] + [f"y[{i}]" for i in range(-2, 3)]}
+# each bad token is at fault in every alphabet except y[0] in XY
+_BAD_TOKENS = ["x[1", "x[0]^0", "x[2]^-1", "y[0]", "bogus", "1", "x[1]]"]
+
+
+@st.composite
+def _spelling(draw, variables):
+    """One spelling of the product of ``variables``: each power as ``v^e``,
+    as repeated factors or as ``v^1``, the factors in any order, now and then
+    a bad token put in, and any whitespace between and around them."""
+    tokens = []
+    for variable in sorted(set(variables)):
+        exponent = variables.count(variable)
+        style = draw(st.sampled_from(["power", "repeat", "one"]))
+        if style == "repeat" or (style == "power" and exponent == 1):
+            tokens += [variable] * exponent
+        elif style == "power":
+            tokens.append(f"{variable}^{exponent}")
+        else:
+            tokens += [f"{variable}^1"] + [variable] * (exponent - 1)
+    tokens = draw(st.permutations(tokens))
+    if draw(st.sampled_from([False] * 29 + [True])):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_BAD_TOKENS)))
+    gaps = st.sampled_from([" ", " ", "  ", "\t", " \n"])
+    text = "".join(token + draw(gaps) for token in tokens)
+    return draw(st.sampled_from(["", " "])) + text[: -1 if draw(st.booleans()) else None]
+
+
+@st.composite
+def series_documents(draw):
+    """Series documents of degree 2 on window 2: terms of repeated, shuffled
+    and respelled factors, some cancelled by a respelled twin, with now and
+    then a term of the wrong degree or out of the window, a bad token, a y in
+    an X file, or a bad alphabet, degree or window."""
+    alphabet = draw(st.sampled_from(["X"] * 5 + ["XY"] * 4 + ["Z"]))
+    letters = _VARIABLES.get(alphabet, _VARIABLES["X"])
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        variables = draw(st.lists(st.sampled_from(letters), min_size=2, max_size=2))
+        fault = draw(st.sampled_from([None] * 27 + ["degree", "window", "y"]))
+        if fault == "degree":
+            variables.append(draw(st.sampled_from(letters)))
+        elif fault == "window":
+            variables[0] = draw(st.sampled_from(["x[3]", "x[-3]", "y[3]"]))
+        elif fault == "y" and alphabet == "X":
+            variables[0] = "y[0]"
+        coeff = draw(st.sampled_from([1, -1, 2, "1", "1/2", "-1/2", "3/4"]))
+        terms.append({"monomial": draw(_spelling(variables)), "coeff": coeff})
+        if draw(st.booleans()):  # a twin that cancels it
+            twin = str(-Fraction(coeff)) if isinstance(coeff, str) else -coeff
+            terms.append({"monomial": draw(_spelling(variables)), "coeff": twin})
+    return {"alphabet": alphabet, "degree": draw(st.sampled_from([2] * 9 + [1, -1])),
+            "window": draw(st.sampled_from([2] * 9 + [1, -1])),
+            "terms": draw(st.permutations(terms))}
+
+
+def _document(*monomials, degree=2, window=2, alphabet="X"):
+    terms = [{"monomial": monomial, "coeff": 1} for monomial in monomials]
+    return {"alphabet": alphabet, "degree": degree, "window": window, "terms": terms}
+
+
+@settings(max_examples=400, deadline=None)
+@given(series_documents())
+@example(_document("x[1] x[1"))
+@example(_document("x[1] x[2]", "x[2] x[1", "x[1 x[0] x[1"))
+@example(_document("x[0] x[1]", "x[0]^0 x[1]", "x[-1]^-1 x[0]^3"))
+@example(_document("x[0] x[0]", "x[0] y[0]"))
+@example(_document("x[0] x[3]", "x[0]^3", "x[1 x[1]"))
+@example(_document("x[0]^3", "x[0] x[3]", degree=-1, window=-1))
+@example(_document("x[0]^3", "x[0] x[1]", "x[1", degree=-1))
+@example(dict(_document("x[0] x[1]", alphabet="Z"), terms=[{"monomial": "x[0]", "coeff": "1/0"}]))
+@example(_document("1", "x[0]", degree=0, window=-1))
+@example(_document("x[0] x[0]", alphabet="Z"))
+@example(_document(alphabet="Z"))
+def test_loader_agrees_with_the_per_term_path(document):
+    loaded = _load_outcome(TruncatedSeries.from_json_dict, document)
+    assert loaded == _load_outcome(_per_term_from_json, document)
+
+
+def test_loader_keeps_no_factor_between_calls():
+    xy = _document("x[0] y[1]", alphabet="XY")
+    TruncatedSeries.from_json_dict(xy)
+    with pytest.raises(ParseError, match="y-variables") as info:
+        TruncatedSeries.from_json_dict(dict(xy, alphabet="X"))
+    assert info.value.position == 5
 
 
 def test_series_is_immutable():
