@@ -23,7 +23,7 @@ from itertools import product
 
 from .actions import _coset_moves, orbit_in_window
 from .compositions import EMPTY, Composition, _unchecked, compositions_of, parse_composition
-from .errors import ParseError
+from .errors import ParseError, read_int
 from .groups import FriezeGroup
 from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image, fits_window
 from .series import TruncatedSeries, is_invariant
@@ -247,7 +247,7 @@ def parse_basis_label(text: str) -> BasisIndex:
             raise ParseError(f"offset must be written Δ=<int> in {text!r}", at)
         if not delta_text.removeprefix("-").isdecimal():
             raise ParseError(f"bad offset value {delta_text!r}", at)
-        fields = shape_x, shape_y, int(delta_text)
+        fields = shape_x, shape_y, read_int(delta_text, at)
     try:
         return make_index(group, *fields, primed=bool(prime))
     except ValueError as exc:

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParseError
+from .errors import ParseError, read_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +119,7 @@ def parse_composition(text: str, offset: int = 0) -> Composition:
         chunk = chunk.strip()
         if not chunk.removeprefix("-").isdecimal():
             raise ParseError(f"bad composition entry {chunk!r} in {text!r}", offset)
-        entries.append(int(chunk))
+        entries.append(read_int(chunk, offset))
     try:
         return Composition(tuple(entries))
     except ValueError as exc:

@@ -15,3 +15,12 @@ class ParseError(ValueError):
             message = f"at position {position}: {message}"
         super().__init__(message)
         self.position = position
+
+
+def read_int(text: str, position: int | None = None) -> int:
+    """``int`` of a decimal literal; one past the interpreter's digit limit is a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise ParseError(f"an integer of {digits} digits is too long to read", position) from None

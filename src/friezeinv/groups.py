@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
-from .errors import ParseError
+from .errors import ParseError, read_int
 from .monomials import ALPHABET_X, ALPHABET_XY
 
 
@@ -202,7 +202,7 @@ def parse_word(group: FriezeGroup, text: str) -> GroupElement:
             gen = generator(group, letter)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from exc
-        exponent = 1 if exp_text is None else int(exp_text)
+        exponent = 1 if exp_text is None else read_int(exp_text, pos)
         result = result * gen**exponent
         pos += len(token)
     return result

@@ -27,7 +27,7 @@ import re
 from typing import Mapping, Union
 
 from .compositions import EMPTY, Composition, _unchecked
-from .errors import ParseError
+from .errors import ParseError, read_int
 
 ALPHABET_X = "X"
 ALPHABET_XY = "XY"
@@ -257,14 +257,17 @@ def _parse_monomial(text: str, alphabet: str, factors_read: dict) -> Monomial:
         factor = factors_read.get(token)
         if factor is None:
             match = _FACTOR_RE.fullmatch(token)
-            if match is None:
-                fault = f"bad monomial factor {token!r}"
-            elif match[1] == "y" and alphabet == ALPHABET_X:
-                fault = "y-variables are not allowed in a one-alphabet monomial"
-            elif (exponent := 1 if match[3] is None else int(match[3])) < 1:
-                fault = f"exponent must be positive in {token!r}"
-            else:
-                factor = factors_read[token] = (match[1] == "y", (int(match[2]), exponent))
+            try:
+                if match is None:
+                    fault = f"bad monomial factor {token!r}"
+                elif match[1] == "y" and alphabet == ALPHABET_X:
+                    fault = "y-variables are not allowed in a one-alphabet monomial"
+                elif (exponent := read_int(match[3] or "1")) < 1:
+                    fault = f"exponent must be positive in {token!r}"
+                else:
+                    factor = factors_read[token] = (match[1] == "y", (read_int(match[2]), exponent))
+            except ParseError as exc:  # an integer too long to read, placed at its token below
+                fault = str(exc)
             if factor is None:  # not kept, so its first whole-token match is this token
                 where = re.search(rf"(?<!\S){re.escape(token)}(?!\S)", text)
                 raise ParseError(fault, where.start())

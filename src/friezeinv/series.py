@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, starmap
 from typing import Union
 
-from .actions import _moves, act
+from .actions import _moves
 from .groups import FriezeGroup, generators
 from .monomials import (
     ALPHABET_X,
@@ -135,15 +135,30 @@ class TruncatedSeries:
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Ring product by block sums (``_merge``); the degree adds and the window stays the same.
 
+        A product moves with both factors' bases, so each pair of shapes is
+        merged once per base difference, and each pair of coefficient objects is
+        multiplied once (products of shared objects share one, as in ``scale``).
         Products of window-supported monomials are window-supported, so no
         truncation loss happens here (loss only enters via the factors).
         """
         self._check_compatible(other, same_degree=False)
-        out = _accumulate(
-            (_merge(ma, mb), ca * cb)
-            for ma, ca in self._coeffs.items()
+        shapes, merged, products, out = {}, {}, {}, {}
+        right = [
+            (mb[0], shapes.setdefault(mb[1:], len(shapes)), mb, id(cb), cb)
             for mb, cb in other._coeffs.items()
-        )
+        ]
+        for ma, ca in self._coeffs.items():
+            ba, cls = ma[0], type(ma)
+            by_shape, by_coeff = merged.setdefault(ma[1:], {}), products.setdefault(id(ca), {})
+            for bb, shape, mb, key, cb in right:
+                moved = by_shape.get((shape, bb - ba))
+                if moved is None:  # the product's base less ba, and its other fields
+                    product = _merge(ma, mb)
+                    moved = by_shape[shape, bb - ba] = product[0] - ba, product[1:]
+                monomial = tuple.__new__(cls, (ba + moved[0],) + moved[1])
+                value = by_coeff.get(key) or by_coeff.setdefault(key, ca * cb)
+                out[monomial] = out[monomial] + value if monomial in out else value
+        out = {monomial: value for monomial, value in out.items() if value}  # drop cancelled sums
         return TruncatedSeries._trusted(
             self.alphabet, self.degree + other.degree, self.window, out
         )
@@ -300,12 +315,18 @@ def _merge(a: Monomial, b: Monomial) -> Monomial:
 
 def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
     """Relabel every monomial by the group action, dropping images that leave
-    the window; linear in the series."""
+    the window; linear in the series.  A support [lo, hi] lies in the window
+    after the element exactly when [lo+z, hi+z] does for its shift z (as in
+    ``is_invariant``), so only those images are built, each once: the action
+    is a bijection."""
     if element.group.alphabet != series.alphabet:
         raise ValueError(f"{element.group} does not act on alphabet {series.alphabet}")
-    window = series.window
-    images = ((act(element, monomial), coeff) for monomial, coeff in series._coeffs.items())
-    out = _accumulate((image, coeff) for image, coeff in images if fits_window(image, window))
+    window, (z, reflect, swap), out = series.window, _moves(element), {}
+    for monomial, coeff in series._coeffs.items():
+        support = _support(*monomial)
+        if support is None or -window - z <= support[0] and support[1] <= window - z:
+            image = _image(*_fields(monomial), z, reflect, swap)[: len(monomial)]
+            out[tuple.__new__(type(monomial), image)] = coeff
     return TruncatedSeries._trusted(series.alphabet, series.degree, window, out)
 
 

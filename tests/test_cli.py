@@ -323,6 +323,38 @@ def test_too_wide_monomial_is_usage_error(tmp_path, capsys):
     assert "too wide" in err
 
 
+_LONG = "1" * 5000  # past the interpreter's 4,300-digit limit for int(str)
+
+
+def _assert_overlong_at(code, out, err, position):
+    assert (code, out) == (2, "")
+    assert err == f"parse error: at position {position}: an integer of 5000 digits is too long to read\n"
+
+
+def test_overlong_monomial_integer_is_a_positioned_parse_error(capsys):
+    for monomial, position in (
+        (f"x[{_LONG}]", 0),
+        (f"x[0] x[-{_LONG}]", 5),
+        (f"x[1]^{_LONG}", 0),
+    ):
+        _assert_overlong_at(*run_cli(capsys, "canon", "--group", "F1", monomial), position)
+    _assert_overlong_at(*run_cli(capsys, "canon", "--group", "F6", f"x[1] y[{_LONG}]"), 5)
+
+
+def test_overlong_composition_part_is_a_positioned_parse_error(capsys):
+    for label, position in (
+        (f"f1[({_LONG})]", 3),
+        (f"f1[(1,-{_LONG})]", 3),
+        (f"f6[(1),({_LONG});Δ=0]", 7),
+    ):
+        _assert_overlong_at(*run_cli(capsys, "expand", label, "-N", "2"), position)
+
+
+def test_overlong_label_offset_is_a_positioned_parse_error(capsys):
+    for label in (f"f6[(1),(1);Δ={_LONG}]", f"f6[(1),(1);delta=-{_LONG}]"):
+        _assert_overlong_at(*run_cli(capsys, "expand", label, "-N", "2"), label.index("=") + 1)
+
+
 def test_symfunc_margin_beyond_window_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "symfunc", "e", "2", "-N", "2", "--expand-basis", "--margin", "5"

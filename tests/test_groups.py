@@ -199,6 +199,14 @@ def test_word_parse_errors(text):
         parse_word(F3, text)
 
 
+def test_overlong_word_exponent_is_a_positioned_parse_error():
+    long = "1" * 5000  # past the interpreter's 4,300-digit limit for int(str)
+    for text, position in ((f"t^{long}", 0), (f"v * t^-{long}", 4)):
+        with pytest.raises(ParseError, match="an integer of 5000 digits is too long") as info:
+            parse_word(F3, text)
+        assert info.value.position == position
+
+
 def test_word_parse_rejects_foreign_generator():
     with pytest.raises(ParseError):
         parse_word(F1, "v")

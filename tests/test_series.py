@@ -41,7 +41,7 @@ from friezeinv import (
 from friezeinv.actions import orbit_coset_representatives, translation_coset_representatives
 from friezeinv.errors import ParseError
 from friezeinv.monomials import fits_window
-from friezeinv.series import _merge
+from friezeinv.series import _accumulate, _merge
 from conftest import group_monomials
 
 F1, F2, F3, F4, F5, F6, F7 = FriezeGroup
@@ -738,6 +738,116 @@ def test_multiply_commutes_with_projection_on_co_supported_factors():
         lifted = TruncatedSeries(ALPHABET_X, 2, 4, dict(a_small.terms()))
         lifted_b = TruncatedSeries(ALPHABET_X, 2, 4, dict(b_small.terms()))
         assert (lifted * lifted_b).project(inner) == a_small * b_small
+
+
+def _pairwise_product(a, b):
+    """The reference product: each pair of terms merged and multiplied on its own."""
+    return _accumulate(
+        (_merge(ma, mb), ca * cb) for ma, ca in a._coeffs.items() for mb, cb in b._coeffs.items()
+    )
+
+
+def _per_term_action(element, series):
+    """The reference ``act_series``: each term through the public ``act``, the
+    images kept by ``fits_window`` and added up."""
+    images = ((act(element, monomial), coeff) for monomial, coeff in series._coeffs.items())
+    return _accumulate((image, c) for image, c in images if fits_window(image, series.window))
+
+
+def _fresh(series):
+    """The same series with one new Fraction object per term."""
+    return TruncatedSeries(
+        series.alphabet, series.degree, series.window,
+        [(m, Fraction(c.numerator, c.denominator)) for m, c in series.terms()],
+    )
+
+
+@st.composite
+def group_series(draw, group, degree, window):
+    """A sum of scaled orbit sums of the group, whose terms share coefficient
+    objects, plus a few arbitrary terms (the unit at degree 0, one-block
+    two-alphabet monomials); drawn with fresh objects for every term, or not."""
+    series = draw(small_series(group.alphabet, degree, window))
+    labels = [
+        label for label in enumerate_indices(group, degree, 2, 1)
+        if fits_window(representative_monomial(label), window)
+    ] if degree else []
+    for label in draw(st.lists(st.sampled_from(labels), max_size=2, unique=True)) if labels else ():
+        scale = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        series += expand_basis_function(label, window).scale(scale)
+    return _fresh(series) if draw(st.booleans()) else series
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_multiply_agrees_with_the_pairwise_product(data):
+    group = data.draw(st.sampled_from(list(FriezeGroup)))
+    window = data.draw(st.integers(1, 4))
+    a = data.draw(group_series(group, data.draw(st.integers(0, 3)), window))
+    b = data.draw(group_series(group, data.draw(st.integers(0, 2)), window))
+    for left, right in ((a, b), (b, a)):
+        product = left.multiply(right)
+        assert product._coeffs == _pairwise_product(left, right)
+        assert product.degree == a.degree + b.degree and product.window == window
+        margin = data.draw(st.integers(1, window))
+        fresh = _outcome(is_invariant, group, _fresh(product), margin)
+        assert _outcome(is_invariant, group, product, margin) is fresh
+
+
+@pytest.mark.parametrize("alphabet", [ALPHABET_X, ALPHABET_XY])
+def test_multiply_examples_against_the_pairwise_product(alphabet):
+    window, x = 3, (normal_form_x if alphabet == ALPHABET_X else lambda e: normal_form_xy(e, {}))
+    unit = TruncatedSeries(alphabet, 0, window, {UNIT_X if alphabet == ALPHABET_X else UNIT_XY: 2})
+    plus = TruncatedSeries(alphabet, 1, window, {x({0: 1}): 1, x({1: 1}): 1})
+    minus = TruncatedSeries(alphabet, 1, window, {x({0: 1}): 1, x({1: 1}): -1})
+    # (x0 + x1)(x0 - x1) = x0^2 - x1^2: the cross terms cancel and are dropped
+    squares = TruncatedSeries(alphabet, 2, window, {x({0: 2}): 1, x({1: 2}): -1})
+    cases = [(unit, unit), (unit, plus), (plus, minus), (minus, unit), (plus, plus)]
+    if alphabet == ALPHABET_XY:  # one-block monomials of either letter, and across letters
+        ys = TruncatedSeries(alphabet, 2, window, {
+            normal_form_xy({}, {-1: 1, 2: 1}): Fraction(1, 3), normal_form_xy({}, {0: 2}): -1,
+        })
+        cases += [(ys, plus), (ys, ys), (plus, ys.scale(3))]
+    for a, b in cases:
+        assert a.multiply(b)._coeffs == _pairwise_product(a, b)
+    assert plus.multiply(minus) == squares
+
+
+def test_products_of_shared_coefficient_objects_share_one_object():
+    window = 5
+    a = expand_basis_function(make_index(F6, composition(1), composition(2), 1), window)
+    b = expand_basis_function(make_index(F6, composition(2), composition(1), 2), window)
+    left = a.scale(Fraction(2, 3)).add(b.scale(-5))
+    term = TruncatedSeries(ALPHABET_XY, 1, window, {normal_form_xy({0: 1}, {}): Fraction(-7, 2)})
+    # each term of left * term comes from one pair: two coefficient objects, two products
+    product = left.multiply(term)
+    assert product._coeffs == _pairwise_product(left, term)
+    assert sorted({id(c): c for c in product._coeffs.values()}.values()) == [
+        Fraction(-7, 3), Fraction(35, 2)
+    ]
+    # a product of invariants is invariant; fresh objects give the same verdicts
+    e1 = expand_basis_function(enumerate_indices(F6, 1, 2, 1)[0], window)  # x_i + y_i
+    for series in (product, left.multiply(e1), e1.multiply(left), _fresh(left).multiply(e1)):
+        for margin in range(1, window + 1):
+            fresh = _outcome(is_invariant, F6, _fresh(series), margin)
+            assert _outcome(is_invariant, F6, series, margin) is fresh
+    assert all(is_invariant(F6, left.multiply(e1), margin) for margin in (1, 2))
+    assert not is_invariant(F6, product, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_act_series_agrees_with_the_per_term_action(data):
+    group = data.draw(st.sampled_from(list(FriezeGroup)))
+    window = data.draw(st.integers(0, 4))
+    series = data.draw(group_series(group, data.draw(st.integers(0, 3)), window))
+    # reflections, block swaps and both glide parities, then shifts that may push
+    # every term out of the window
+    rep = data.draw(st.sampled_from(translation_coset_representatives(group)))
+    element = rep * shift(group, data.draw(st.integers(-2 * window - 3, 2 * window + 3)))
+    image = act_series(element, series)
+    assert image._coeffs == _per_term_action(element, series)
+    assert image.num_terms == sum(fits_window(act(element, m), window) for m in series.monomials())
 
 
 # -- normal forms built unchecked: block products, symmetric functions, normal_form_*
