@@ -27,8 +27,8 @@ delta) fields a monomial is made of (a one-alphabet monomial is an x block
 with an empty y block, and its image keeps only the x block).  The image of
 a normal form is a normal form, so images and their translates are built
 with a plain ``tuple.__new__``.  An orbit is the set of translates (by t, or by
-g^2 for the glide groups) of the images under the translation-coset
-representatives.
+g^2 for the glide groups) of one image per translate family, which
+``_families`` picks from the images under the translation-coset representatives.
 """
 
 from __future__ import annotations
@@ -44,20 +44,6 @@ def _moves(element: GroupElement) -> tuple[int, bool, bool]:
     z = element.power
     swap = element.h ^ element.r ^ (element.group.uses_glide and z % 2 == 1)
     return z, element.v or element.r, swap
-
-
-def act_x(element: GroupElement, monomial: MonomialX) -> MonomialX:
-    """Image of a one-alphabet monomial under an element of F1 or F3."""
-    if element.group.alphabet != ALPHABET_X:
-        raise ValueError(f"{element.group} does not act on the one-alphabet ring")
-    return act(element, monomial)
-
-
-def act_xy(element: GroupElement, monomial: MonomialXY) -> MonomialXY:
-    """Image of a two-alphabet monomial under an element of F2, F4, F5, F6 or F7."""
-    if element.group.alphabet == ALPHABET_X:
-        raise ValueError(f"{element.group} does not act on the two-alphabet ring")
-    return act(element, monomial)
 
 
 def act(element: GroupElement, monomial: Monomial) -> Monomial:
@@ -101,16 +87,37 @@ def _coset_moves(group: FriezeGroup) -> tuple[tuple[int, bool, bool], ...]:
     return tuple(_moves(rep) for rep in translation_coset_representatives(group))
 
 
+def _family_key(monomial: Monomial, glide: bool) -> tuple:
+    """What the translates of a monomial share: all but the base, and for the
+    glide groups, whose translations are powers of g^2, the base parity."""
+    return (glide and monomial[0] % 2, *monomial[1:])
+
+
+def _families(group: FriezeGroup, monomial: Monomial) -> list[Monomial]:
+    """One image per translate family of the monomial's orbit, in coset-table
+    order, so the first is the monomial itself.  Coset images with one
+    ``_family_key`` are translates of each other, and only the first is kept."""
+    cls = MonomialX if group.alphabet == ALPHABET_X else MonomialXY
+    if not isinstance(monomial, cls):
+        raise TypeError(f"{group} acts on {cls.__name__} monomials")
+    fields, glide, size = _fields(monomial), group.uses_glide, len(monomial)
+    families: dict[tuple, Monomial] = {}
+    for move in _coset_moves(group):
+        image = tuple.__new__(cls, _image(*fields, *move)[:size])
+        families.setdefault(_family_key(image, glide), image)
+    return list(families.values())
+
+
 def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[Monomial]:
     """All images of the monomial whose support lies entirely in [-window, window]."""
     if window < 0:
         raise ValueError("window must be non-negative")
+    families = _families(group, monomial)
     if monomial.is_unit:
         return {monomial}
     step, new, cls = (2 if group.uses_glide else 1), tuple.__new__, type(monomial)
     out: set[Monomial] = set()
-    for rep in translation_coset_representatives(group):
-        image = act(rep, monomial)
+    for image in families:
         base, rest = image[0], image[1:]
         lo, hi = image.support()
         # translating by z moves the support to [lo+z, hi+z]; z is a multiple of step

@@ -133,6 +133,12 @@ def _load_series(path: str) -> TruncatedSeries:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad series JSON: {exc}") from exc
+    except ValueError:  # json reads an integer past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"bad series JSON: an integer of more than {limit} digits is too long to read; "
+            f'write a coefficient as a rational string "p/q" of at most {limit} digits each'
+        ) from None
     except RecursionError as exc:
         raise ParseError("bad series JSON: nested too deeply") from exc
     return TruncatedSeries.from_json_dict(data)

@@ -16,6 +16,7 @@ from itertools import combinations, combinations_with_replacement, starmap
 from typing import Union
 
 from .actions import _moves
+from .errors import ParseError
 from .groups import FriezeGroup, generators
 from .monomials import (
     ALPHABET_X,
@@ -262,7 +263,10 @@ class TruncatedSeries:
                     value = values[coeff] = Fraction(coeff)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"malformed term {n}: bad coefficient {coeff!r}") from exc
-            monomial = _parse_monomial(entry["monomial"], alphabet, factors_read)
+            try:
+                monomial = _parse_monomial(entry["monomial"], alphabet, factors_read)
+            except ParseError as exc:  # its message keeps the position inside the monomial
+                raise ParseError(f"malformed term {n}: {exc}") from None
             fault = fault or _term_fault(monomial, degree, window)
             _accumulate(((monomial, value),), store)
         cls(alphabet, degree, window)  # its checks precede a term's fault, as in the constructor

@@ -1,11 +1,15 @@
 """Decomposition of the graded pieces into translation-module components.
 
-Under F1, the span of each shape's translate family is a single bi-infinite
-coordinate line (one basis sequence position per base index).  Under F6 the
-same happens exactly for the self-paired labels (equal shapes, offset 0),
-where the alphabet swap fixes every family member; every other label pairs
-two distinct translate families and contributes a doubled line.  The census
-counts components per canonical label within enumeration bounds.
+The translations (t, or g^2 for the glide groups F2 and F5) split the orbit
+of a label into |G/T| / |stabilizer| translate families, numbered in
+coset-table order; family 0 holds the representative.  The members of a
+family differ only in their base, which for F2 and F5 keeps its parity.
+``embed`` puts the value of each key (family, base) on the member of that
+family with that base, and ``coordinates`` reads the keys back; a translation
+adds 1 (2 for g^2) to every base.  Under F1 every label has one family, a
+LINE; under F6 so have the self-paired labels (equal shapes, offset 0), and
+every other label has two, its own and its h-image, a DOUBLE.  The census
+counts these per canonical label within enumeration bounds.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
+from .actions import _families, _family_key
 from .basis import BasisIndex, enumerate_indices, representative_monomial
 from .groups import FriezeGroup
-from .monomials import Monomial, MonomialXY
-from .series import Scalar, TruncatedSeries, as_fraction
+from .series import Scalar, TruncatedSeries
 
 
 class ComponentType(Enum):
@@ -74,100 +78,36 @@ def decomposition_census(
     return CensusReport(group, degree, max_parts, max_abs_delta, line, double)
 
 
-def _line_monomial(index: BasisIndex, position: int) -> Monomial:
-    rep = representative_monomial(index)
-    return tuple.__new__(type(rep), (position,) + rep[1:])
-
-
-def embed_line(
-    index: BasisIndex, sequence: Mapping[int, Scalar], window: int
+def embed(
+    index: BasisIndex, values: Mapping[tuple[int, int], Scalar], window: int
 ) -> TruncatedSeries:
-    """Series carried by a LINE component from a base-position -> value map.
-
-    Position i holds the translate of the representative with base i; the
-    translation action corresponds to shifting positions.  Positions whose
-    monomial leaves the window are rejected.
-    """
-    group = index.group
-    if component_type(group, index) is not ComponentType.LINE:
-        raise ValueError("embed_line requires a LINE component")
-    terms = [(_line_monomial(index, position), value) for position, value in sequence.items()]
+    """Series from a (family, base) -> value map: the term of a key is the
+    member of that family whose base is ``base``.  A family number out of
+    range, a base of the wrong parity for an F2 or F5 family and a member that
+    leaves the window raise ValueError."""
+    group, rep = index.group, representative_monomial(index)
+    families = _families(group, rep)
+    terms = []
+    for (family, base), value in values.items():
+        if family not in range(len(families)):
+            raise ValueError(f"{index} has families 0..{len(families) - 1}, not {family}")
+        image = families[family]
+        if group.uses_glide and (base - image[0]) % 2:
+            raise ValueError(f"family {family} of {index} has bases of parity {image[0] % 2}")
+        terms.append((tuple.__new__(type(rep), (base, *image[1:])), value))
     return TruncatedSeries(group.alphabet, index.degree, window, terms)
 
 
-def line_coordinates(index: BasisIndex, series: TruncatedSeries) -> dict[int, Fraction]:
-    """Inverse of embed_line: base positions and values of a component series."""
-    if component_type(index.group, index) is not ComponentType.LINE:
-        raise ValueError("line_coordinates requires a LINE component")
-    out: dict[int, Fraction] = {}
+def coordinates(index: BasisIndex, series: TruncatedSeries) -> dict[tuple[int, int], Fraction]:
+    """Inverse of ``embed``: the (family, base) key and value of each term."""
+    glide = index.group.uses_glide
+    families = _families(index.group, representative_monomial(index))
+    # a monomial of the other alphabet has a key of another length, so no family
+    numbers = {_family_key(image, glide): n for n, image in enumerate(families)}
+    out: dict[tuple[int, int], Fraction] = {}
     for monomial, coeff in series.terms():
-        if _line_monomial(index, monomial.base) != monomial:
-            raise ValueError(f"{monomial} does not belong to the component of {index}")
-        out[monomial.base] = coeff
+        family = numbers.get(_family_key(monomial, glide))
+        if family is None:
+            raise ValueError(f"{monomial} does not belong to the orbit of {index}")
+        out[family, monomial.base] = coeff
     return out
-
-
-def _double_monomials(index: BasisIndex, position: int) -> tuple[MonomialXY, MonomialXY]:
-    first = MonomialXY(position, index.shape_x, index.shape_y, index.delta)
-    second = MonomialXY(position, index.shape_y, index.shape_x, -index.delta)
-    return first, second
-
-
-def embed_double(
-    index: BasisIndex, sequence: Mapping[int, tuple[Scalar, Scalar]], window: int
-) -> TruncatedSeries:
-    """Series carried by a DOUBLE component from position -> (value, value).
-
-    The first slot rides the label's own translate family, the second the
-    alphabet-swapped family at the same base.  Positions whose monomials
-    leave the window are rejected.
-    """
-    if component_type(index.group, index) is not ComponentType.DOUBLE:
-        raise ValueError("embed_double requires a DOUBLE component")
-    terms: list[tuple[Monomial, Scalar]] = []
-    for position, (first_value, second_value) in sequence.items():
-        first, second = _double_monomials(index, position)
-        terms += [(first, first_value), (second, second_value)]
-    return TruncatedSeries(index.group.alphabet, index.degree, window, terms)
-
-
-def double_coordinates(
-    index: BasisIndex, series: TruncatedSeries
-) -> dict[int, tuple[Fraction, Fraction]]:
-    """Inverse of embed_double."""
-    if component_type(index.group, index) is not ComponentType.DOUBLE:
-        raise ValueError("double_coordinates requires a DOUBLE component")
-    out: dict[int, tuple[Fraction, Fraction]] = {}
-    for monomial, coeff in series.terms():
-        first, second = _double_monomials(index, monomial.base)
-        if monomial == first:
-            slot = 0
-        elif monomial == second:
-            slot = 1
-        else:
-            raise ValueError(f"{monomial} does not belong to the component of {index}")
-        pair = list(out.get(monomial.base, (Fraction(0), Fraction(0))))
-        pair[slot] += coeff
-        out[monomial.base] = (pair[0], pair[1])
-    return out
-
-
-def is_constant_sequence(sequence: Mapping[int, Scalar], lo: int, hi: int) -> bool:
-    """True when the sequence takes one common value on every position of
-    [lo, hi] (missing positions count as 0).  The constant sequences span the
-    one-dimensional translation-fixed line."""
-    if lo > hi:
-        raise ValueError("empty position range")
-    values = {as_fraction(sequence.get(position, 0)) for position in range(lo, hi + 1)}
-    return len(values) == 1
-
-
-def has_finite_support(sequence: Mapping[int, Scalar], lo: int, hi: int) -> bool:
-    """True when the nonzero entries stay strictly inside (lo, hi): the
-    window-compatible reading of a globally finitely-supported sequence."""
-    if lo > hi:
-        raise ValueError("empty position range")
-    for position in (lo, hi):
-        if as_fraction(sequence.get(position, 0)) != 0:
-            return False
-    return True

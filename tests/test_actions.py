@@ -10,18 +10,24 @@ from friezeinv import (
     GroupElement,
     MonomialX,
     MonomialXY,
+    UNIT_X,
     act,
-    act_x,
-    act_xy,
     composition,
+    enumerate_indices,
     generator,
     normal_form_x,
     normal_form_xy,
     orbit_in_window,
+    representative_monomial,
     shift,
     stabilizer,
 )
-from friezeinv.actions import orbit_coset_representatives
+from friezeinv.actions import (
+    _families,
+    orbit_coset_representatives,
+    translation_coset_representatives,
+)
+from friezeinv.monomials import fits_window
 from conftest import (
     ball_words,
     brute_orbit_in_window,
@@ -83,29 +89,29 @@ def _random_xy_two_block(rng: random.Random) -> MonomialXY:
     return normal_form_xy(block(), block())
 
 
-def test_act_x_examples():
+def test_act_one_alphabet_examples():
     t = generator(F1, "t")
     m = MonomialX(0, composition(1, 0, 2))
-    assert act_x(t, m) == MonomialX(1, composition(1, 0, 2))
+    assert act(t, m) == MonomialX(1, composition(1, 0, 2))
 
     v = generator(F3, "v")
-    image = act_x(v, MonomialX(0, composition(2, 1)))
+    image = act(v, MonomialX(0, composition(2, 1)))
     assert image == MonomialX(-3, composition(1, 2))
     assert image == closed_v_x(MonomialX(0, composition(2, 1)))
 
-    assert act_x(shift(F1, 0), m) == m
+    assert act(shift(F1, 0), m) == m
 
 
-def test_act_xy_examples():
+def test_act_two_alphabet_examples():
     h = generator(F6, "h")
     m = MonomialXY(0, composition(1), composition(2), 1)
-    assert act_xy(h, m) == MonomialXY(1, composition(2), composition(1), -1)
+    assert act(h, m) == MonomialXY(1, composition(2), composition(1), -1)
 
     g = generator(F2, "g")
-    assert act_xy(g, normal_form_xy({1: 1}, {})) == normal_form_xy({}, {2: 1})
+    assert act(g, normal_form_xy({1: 1}, {})) == normal_form_xy({}, {2: 1})
 
     m2 = _random_xy_two_block(random.Random(0))
-    assert act_xy(shift(F4, 0), m2) == m2
+    assert act(shift(F4, 0), m2) == m2
 
 
 @pytest.mark.parametrize(
@@ -126,7 +132,7 @@ def test_generator_actions_match_closed_forms(group, letter, oracle):
     gen = generator(group, letter)
     for _ in range(200):
         m = _random_xy_two_block(rng)
-        assert act_xy(gen, m) == oracle(m)
+        assert act(gen, m) == oracle(m)
 
 
 # exponent maps over a small index range: empty maps give the unit and one
@@ -191,12 +197,21 @@ def test_support_matches_exponents(xs, ys):
 
 
 def test_wrong_group_rejected():
-    with pytest.raises(ValueError):
-        act_x(generator(F6, "h"), MonomialX(0, composition(1)))
-    with pytest.raises(ValueError):
-        act_xy(generator(F3, "v"), MonomialXY(0, composition(1), composition(1), 0))
     with pytest.raises(TypeError):
-        act_x(generator(F3, "v"), MonomialXY(0, composition(1), composition(1), 0))
+        act(generator(F6, "h"), MonomialX(0, composition(1)))
+    with pytest.raises(TypeError):
+        act(generator(F3, "v"), MonomialXY(0, composition(1), composition(1), 0))
+
+
+def test_orbit_rejects_a_monomial_of_the_other_alphabet():
+    # x[1] in one alphabet has the fields of a pure-x monomial in two
+    for group, monomial in (
+        (F6, normal_form_x({1: 1})),
+        (F3, normal_form_xy({1: 1}, {})),
+        (F2, UNIT_X),
+    ):
+        with pytest.raises(TypeError, match="acts on"):
+            orbit_in_window(group, monomial, 2)
 
 
 @pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
@@ -275,6 +290,44 @@ def test_orbit_matches_brute_force(group):
             assert orbit_in_window(group, m, window) == brute_orbit_in_window(
                 group, m, window
             )
+
+
+def _labelled_monomials(group):
+    """The representative of every label of the group at degree <= 4, with at
+    most 3 parts and |delta| <= 2, and one other orbit member of each."""
+    out = []
+    for degree in range(1, 5):
+        for index in enumerate_indices(group, degree, 3, 2):
+            rep = representative_monomial(index)
+            out += [rep, act(translation_coset_representatives(group)[-1], rep)]
+    return out
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_families_obey_the_rank_law(group):
+    # the stabilizer meets the translations trivially, so the coset images of
+    # a monomial fall into |G/T| / |stabilizer| translate families
+    cosets = len(translation_coset_representatives(group))
+    for monomial in _labelled_monomials(group):
+        families = _families(group, monomial)
+        assert len(families) * (1 + len(stabilizer(group, monomial))) == cosets, monomial
+        assert families[0] == monomial
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_translates_of_the_families_are_the_orbit(group):
+    step = 2 if group.uses_glide else 1
+    for monomial in _labelled_monomials(group):
+        families = _families(group, monomial)
+        for window in (2, 4):
+            translates = {
+                tuple.__new__(type(image), (image.base + z, *image[1:]))
+                for image in families
+                for z in range(-2 * window - 8, 2 * window + 8, step)
+            }
+            in_window = {m for m in translates if fits_window(m, window)}
+            assert in_window == brute_orbit_in_window(group, monomial, window), monomial
+            assert orbit_in_window(group, monomial, window) == in_window, monomial
 
 
 def test_orbit_rejects_negative_window():

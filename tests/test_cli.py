@@ -355,6 +355,37 @@ def test_overlong_label_offset_is_a_positioned_parse_error(capsys):
         _assert_overlong_at(*run_cli(capsys, "expand", label, "-N", "2"), label.index("=") + 1)
 
 
+def test_overlong_json_integer_is_a_parse_error(tmp_path, capsys):
+    # json.loads reads these integers itself, so no position comes with them
+    path = tmp_path / "series.json"
+    limit = sys.get_int_max_str_digits()
+    for degree, window, coeff in ((_LONG, 2, 1), (1, _LONG, 1), (1, 2, _LONG)):
+        path.write_text(
+            f'{{"alphabet": "X", "degree": {degree}, "window": {window}, '
+            f'"terms": [{{"monomial": "x[0]", "coeff": {coeff}}}]}}'
+        )
+        code, out, err = run_cli(capsys, "check", "--group", "F1", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"parse error: bad series JSON: an integer of more than {limit} digits "
+            "is too long to read; write a coefficient as a rational string"
+        )
+        assert "Traceback" not in err
+
+
+def test_check_monomial_parse_error_names_its_term(tmp_path, capsys):
+    for monomials, expected in (
+        (["x[0]", "x[1]", "x[q]"], "malformed term 2: at position 0: bad monomial factor 'x[q]'"),
+        (["x[0] x[1]", "x[1] y[2]"], "malformed term 1: at position 5: y-variables are not "
+         "allowed in a one-alphabet monomial"),
+    ):
+        degree = len(monomials[0].split())
+        payload = {"alphabet": "X", "degree": degree, "window": 2,
+                   "terms": [{"monomial": monomial, "coeff": 1} for monomial in monomials]}
+        code, out, err = _check_payload(tmp_path, capsys, payload)
+        assert (code, out, err) == (2, "", f"parse error: {expected}\n")
+
+
 def test_symfunc_margin_beyond_window_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "symfunc", "e", "2", "-N", "2", "--expand-basis", "--margin", "5"

@@ -7,21 +7,23 @@ import pytest
 from friezeinv import (
     ComponentType,
     FriezeGroup,
+    MonomialXY,
     act_series,
     component_type,
     composition,
+    coordinates,
     decomposition_census,
-    double_coordinates,
-    embed_double,
-    embed_line,
+    embed,
     enumerate_indices,
-    has_finite_support,
-    is_constant_sequence,
-    line_coordinates,
+    generator,
     make_index,
     normal_form_x,
+    normal_form_xy,
+    orbit_in_window,
+    representative_monomial,
     shift,
 )
+from friezeinv.actions import _families
 from friezeinv.series import TruncatedSeries
 
 F1, F2, F3, F6 = FriezeGroup.F1, FriezeGroup.F2, FriezeGroup.F3, FriezeGroup.F6
@@ -138,94 +140,220 @@ def test_census_json_shape():
     }
 
 
-def test_embed_line_examples():
+def test_embed_examples():
     idx = make_index(F1, composition(1))
-    series = embed_line(idx, {0: 1}, 3)
+    series = embed(idx, {(0, 0): 1}, 3)
     assert series.monomials() == {normal_form_x({1: 1})}
 
-    assert embed_line(idx, {}, 3).is_zero()
+    assert embed(idx, {}, 3).is_zero()
 
-    seq = {-2: Fraction(1, 2), 0: 3}
-    series = embed_line(idx, seq, 3)
-    assert line_coordinates(idx, series) == {-2: Fraction(1, 2), 0: Fraction(3)}
+    values = {(0, -2): Fraction(1, 2), (0, 0): 3}
+    series = embed(idx, values, 3)
+    assert coordinates(idx, series) == {(0, -2): Fraction(1, 2), (0, 0): Fraction(3)}
 
 
-def test_embed_line_equivariance():
+def test_embed_equivariance():
     idx = make_index(F1, composition(2, 1))
-    seq = {-2: 1, 0: 2}
-    shifted = embed_line(idx, {p + 1: v for p, v in seq.items()}, 5)
-    assert shifted == act_series(shift(F1, 1), embed_line(idx, seq, 5))
+    values = {(0, -2): 1, (0, 0): 2}
+    shifted = embed(idx, {(f, p + 1): v for (f, p), v in values.items()}, 5)
+    assert shifted == act_series(shift(F1, 1), embed(idx, values, 5))
 
 
-def test_embed_line_window_overflow():
+def test_embed_window_overflow():
     idx = make_index(F1, composition(1, 1))
     with pytest.raises(ValueError):
-        embed_line(idx, {3: 1}, 3)  # monomial reaches x_5
+        embed(idx, {(0, 3): 1}, 3)  # monomial reaches x_5
 
 
-def test_embed_line_requires_line_component():
+def test_embed_rejects_a_family_out_of_range():
+    diag = make_index(F6, composition(1), composition(1), 0)
     off = make_index(F6, composition(1), composition(1), 1)
-    with pytest.raises(ValueError):
-        embed_line(off, {0: 1}, 3)
+    for index, count in ((make_index(F1, composition(1)), 1), (diag, 1), (off, 2)):
+        for family in (-1, count, count + 1):
+            with pytest.raises(ValueError, match="families"):
+                embed(index, {(family, 0): 1}, 3)
 
 
-def test_embed_line_f6_diagonal():
+def test_embed_rejects_a_base_of_the_wrong_parity():
+    # an F2 family is one parity class of bases; the primed label's starts at -1
+    for primed, good, bad in ((False, 0, 1), (True, -1, 0)):
+        idx = make_index(F2, composition(1), composition(1), 0, primed)
+        assert coordinates(idx, embed(idx, {(0, good): 1}, 4)) == {(0, good): Fraction(1)}
+        with pytest.raises(ValueError, match="parity"):
+            embed(idx, {(0, bad): 1}, 4)
+
+
+def test_embed_f6_diagonal():
     idx = make_index(F6, composition(1), composition(1), 0)
-    series = embed_line(idx, {0: 1, 1: -2}, 3)
-    assert line_coordinates(idx, series) == {0: Fraction(1), 1: Fraction(-2)}
+    series = embed(idx, {(0, 0): 1, (0, 1): -2}, 3)
+    assert coordinates(idx, series) == {(0, 0): Fraction(1), (0, 1): Fraction(-2)}
 
 
-def test_line_coordinates_rejects_foreign_monomials():
+def test_coordinates_rejects_foreign_monomials():
     idx = make_index(F1, composition(1))
     stray = TruncatedSeries("X", 1, 3, {normal_form_x({2: 1}): 1})
-    assert line_coordinates(idx, stray) == {1: Fraction(1)}
+    assert coordinates(idx, stray) == {(0, 1): Fraction(1)}
     wrong_shape = TruncatedSeries("X", 2, 3, {normal_form_x({1: 2}): 1})
     with pytest.raises(ValueError):
-        line_coordinates(make_index(F1, composition(1, 1)), wrong_shape)
+        coordinates(make_index(F1, composition(1, 1)), wrong_shape)
+    # x[1] in two alphabets has the fields of an F1 monomial, but not its alphabet
+    other_alphabet = TruncatedSeries("XY", 1, 3, {normal_form_xy({1: 1}, {}): 1})
+    with pytest.raises(ValueError):
+        coordinates(idx, other_alphabet)
+    with pytest.raises(ValueError):
+        coordinates(make_index(F6, composition(1)), stray)
 
 
 def test_embed_double_roundtrip():
     idx = make_index(F6, composition(1), composition(1), 1)
-    pairs = {0: (Fraction(1), Fraction(2)), -1: (Fraction(-1, 3), Fraction(0))}
-    series = embed_double(idx, pairs, 4)
-    assert double_coordinates(idx, series) == {
-        0: (Fraction(1), Fraction(2)),
-        -1: (Fraction(-1, 3), Fraction(0)),
-    }
+    values = {(0, 0): Fraction(1), (1, 0): Fraction(2), (0, -1): Fraction(-1, 3)}
+    assert coordinates(idx, embed(idx, values, 4)) == values
 
 
-def test_embed_double_h_swaps_slots():
+def test_h_moves_family_0_to_family_1():
     idx = make_index(F6, composition(1), composition(1), 1)
-    from friezeinv import generator
-
-    series = embed_double(idx, {0: (1, 0)}, 4)
-    image = act_series(generator(F6, "h"), series)
-    coords = double_coordinates(idx, image)
+    image = act_series(generator(F6, "h"), embed(idx, {(0, 0): 1}, 4))
     # the alphabet swap sends the first family at base i to the second at i+delta
-    assert coords == {idx.delta + 0: (Fraction(0), Fraction(1))}
+    assert coordinates(idx, image) == {(1, idx.delta): Fraction(1)}
 
 
-def test_embed_double_rejects_overflow_and_malformed_pairs():
+def test_embed_rejects_overflow_and_malformed_keys():
     idx = make_index(F6, composition(1), composition(1), 1)
     with pytest.raises(ValueError):
-        embed_double(idx, {2: (1, 1)}, 3)  # the first family reaches y_4
+        embed(idx, {(0, 2): 1}, 3)  # the first family reaches y_4
     with pytest.raises(ValueError):
-        embed_double(idx, {0: (1, 2, 3)}, 3)
+        embed(idx, {(0, 0, 0): 1}, 3)
 
 
-def test_embed_double_requires_double_component():
-    diag = make_index(F6, composition(1), composition(1), 0)
-    with pytest.raises(ValueError):
-        embed_double(diag, {0: (1, 0)}, 3)
+def _labels(group):
+    """Every label of the group at degree <= 4, with at most 3 parts and |delta| <= 2."""
+    return [index for degree in range(1, 5) for index in enumerate_indices(group, degree, 3, 2)]
 
 
-def test_sequence_predicates():
-    assert is_constant_sequence({i: 1 for i in range(-3, 4)}, -3, 3)
-    assert not is_constant_sequence({0: 1}, -3, 3)
-    assert is_constant_sequence({}, -2, 2)
+def _members(index, window):
+    """The orbit members in the window by (family, base): a member belongs to
+    the family of the one image whose fields it shares but for the base, and,
+    for the glide groups, whose base has the parity of its own."""
+    group, rep = index.group, representative_monomial(index)
+    step = 2 if group.uses_glide else 1
+    images = _families(group, rep)
+    out = {}
+    for monomial in orbit_in_window(group, rep, window):
+        [family] = [
+            n for n, image in enumerate(images)
+            if image[1:] == monomial[1:] and (image.base - monomial.base) % step == 0
+        ]
+        out[family, monomial.base] = monomial
+    return out
 
-    assert has_finite_support({0: 5}, -3, 3)
-    assert not has_finite_support({i: 1 for i in range(-3, 4)}, -3, 3)
-    assert not has_finite_support({3: 1}, -3, 3)
-    with pytest.raises(ValueError):
-        is_constant_sequence({}, 2, -2)
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_coordinates_and_embed_are_inverse(group):
+    for index in _labels(group):
+        members = _members(index, 4)
+        values = {key: Fraction(key[0] + 1, key[1] ** 2 + 1) for key in members}
+        series = embed(index, values, 4)
+        # every orbit member in the window has one key, and the key's member is its term
+        assert series.monomials() == set(members.values()), index
+        for key, monomial in members.items():
+            assert series.coefficient(monomial) == values[key], (index, key)
+        assert coordinates(index, series) == values, index
+        assert embed(index, coordinates(index, series), 4) == series, index
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_embed_is_translation_equivariant(group):
+    # t adds 1 to every base, and g^2 adds 2 for the glide groups
+    window, step = 5, 2 if group.uses_glide else 1
+    for index in _labels(group):
+        values = {key: key[1] + 3 for key in _members(index, window - step)}
+        moved = act_series(shift(group, step), embed(index, values, window))
+        shifted = {(family, base + step): v for (family, base), v in values.items()}
+        assert moved == embed(index, shifted, window), index
+
+
+# ---------------------------------------------------------------------------
+# the LINE/DOUBLE pairs that the (family, base) pair replaces, kept as the
+# reference it is compared with on F1 and F6
+# ---------------------------------------------------------------------------
+
+def _line_monomial(index, position):
+    rep = representative_monomial(index)
+    return tuple.__new__(type(rep), (position,) + rep[1:])
+
+
+def embed_line(index, sequence, window):
+    group = index.group
+    if component_type(group, index) is not ComponentType.LINE:
+        raise ValueError("embed_line requires a LINE component")
+    terms = [(_line_monomial(index, position), value) for position, value in sequence.items()]
+    return TruncatedSeries(group.alphabet, index.degree, window, terms)
+
+
+def line_coordinates(index, series):
+    if component_type(index.group, index) is not ComponentType.LINE:
+        raise ValueError("line_coordinates requires a LINE component")
+    out = {}
+    for monomial, coeff in series.terms():
+        if _line_monomial(index, monomial.base) != monomial:
+            raise ValueError(f"{monomial} does not belong to the component of {index}")
+        out[monomial.base] = coeff
+    return out
+
+
+def _double_monomials(index, position):
+    first = MonomialXY(position, index.shape_x, index.shape_y, index.delta)
+    second = MonomialXY(position, index.shape_y, index.shape_x, -index.delta)
+    return first, second
+
+
+def embed_double(index, sequence, window):
+    if component_type(index.group, index) is not ComponentType.DOUBLE:
+        raise ValueError("embed_double requires a DOUBLE component")
+    terms = []
+    for position, (first_value, second_value) in sequence.items():
+        first, second = _double_monomials(index, position)
+        terms += [(first, first_value), (second, second_value)]
+    return TruncatedSeries(index.group.alphabet, index.degree, window, terms)
+
+
+def double_coordinates(index, series):
+    if component_type(index.group, index) is not ComponentType.DOUBLE:
+        raise ValueError("double_coordinates requires a DOUBLE component")
+    out = {}
+    for monomial, coeff in series.terms():
+        first, second = _double_monomials(index, monomial.base)
+        if monomial == first:
+            slot = 0
+        elif monomial == second:
+            slot = 1
+        else:
+            raise ValueError(f"{monomial} does not belong to the component of {index}")
+        pair = list(out.get(monomial.base, (Fraction(0), Fraction(0))))
+        pair[slot] += coeff
+        out[monomial.base] = (pair[0], pair[1])
+    return out
+
+
+@pytest.mark.parametrize("group", [F1, F6], ids=lambda g: g.value)
+def test_pair_matches_the_line_and_double_reference(group):
+    window = 6
+    for index in _labels(group):
+        members = _members(index, window)
+        count = len(_families(group, representative_monomial(index)))
+        # the bases at which every family has its member in the window
+        positions = {p for _, p in members if all((n, p) in members for n in range(count))}
+        assert positions, index
+        if component_type(group, index) is ComponentType.LINE:
+            sequence = {p: Fraction(p, 7) + 2 for p in positions}
+            series = embed(index, {(0, p): v for p, v in sequence.items()}, window)
+            assert series == embed_line(index, sequence, window), index
+            assert line_coordinates(index, series) == sequence, index
+            assert coordinates(index, series) == {(0, p): v for p, v in sequence.items()}
+        else:
+            pairs = {p: (Fraction(p, 7) + 2, Fraction(-1, p * p + 2)) for p in positions}
+            values = {(slot, p): pair[slot] for p, pair in pairs.items() for slot in (0, 1)}
+            series = embed(index, values, window)
+            assert series == embed_double(index, pairs, window), index
+            assert double_coordinates(index, series) == pairs, index
+            assert coordinates(index, series) == values, index
