@@ -56,26 +56,15 @@ def act(element: GroupElement, monomial: Monomial) -> Monomial:
 
 
 @lru_cache(maxsize=None)
-def orbit_coset_representatives(group: FriezeGroup) -> tuple[GroupElement, ...]:
-    """Coset representatives of the cyclic shift subgroup; the orbit of a
-    monomial is the union of the shift-orbits of their images.
-
-    They are the products of the subsets of the group's commuting flag
-    generators."""
+def translation_coset_representatives(group: FriezeGroup) -> tuple[GroupElement, ...]:
+    """Coset representatives of the translation subgroup (t, or g^2 for the
+    glide groups): the products of the subsets of the group's commuting flag
+    generators, and for the glide groups each of them also followed by g."""
     reps = (identity(group),)
     for letter in "vhr":
         if letter in group.flag_letters:
             flag = generator(group, letter)
             reps += tuple(rep * flag for rep in reps)
-    return reps
-
-
-@lru_cache(maxsize=None)
-def translation_coset_representatives(group: FriezeGroup) -> tuple[GroupElement, ...]:
-    """Coset representatives of the translation subgroup (t, or g^2 for the
-    glide groups).  For the glide groups this additionally splits each shift
-    coset by the parity of the glide power."""
-    reps = orbit_coset_representatives(group)
     if not group.uses_glide:
         return reps
     return tuple(rep * shift(group, parity) for rep in reps for parity in (0, 1))
@@ -93,18 +82,22 @@ def _family_key(monomial: Monomial, glide: bool) -> tuple:
     return (glide and monomial[0] % 2, *monomial[1:])
 
 
+def _coset_images(group: FriezeGroup, monomial: Monomial) -> list[Monomial]:
+    """The images of the monomial under the translation-coset representatives."""
+    cls = MonomialX if group.alphabet == ALPHABET_X else MonomialXY
+    if not isinstance(monomial, cls):
+        raise TypeError(f"{group} acts on {cls.__name__} monomials")
+    fields, size = _fields(monomial), len(monomial)
+    return [tuple.__new__(cls, _image(*fields, *move)[:size]) for move in _coset_moves(group)]
+
+
 def _families(group: FriezeGroup, monomial: Monomial) -> list[Monomial]:
     """One image per translate family of the monomial's orbit, in coset-table
     order, so the first is the monomial itself.  Coset images with one
     ``_family_key`` are translates of each other, and only the first is kept."""
-    cls = MonomialX if group.alphabet == ALPHABET_X else MonomialXY
-    if not isinstance(monomial, cls):
-        raise TypeError(f"{group} acts on {cls.__name__} monomials")
-    fields, glide, size = _fields(monomial), group.uses_glide, len(monomial)
     families: dict[tuple, Monomial] = {}
-    for move in _coset_moves(group):
-        image = tuple.__new__(cls, _image(*fields, *move)[:size])
-        families.setdefault(_family_key(image, glide), image)
+    for image in _coset_images(group, monomial):
+        families.setdefault(_family_key(image, group.uses_glide), image)
     return list(families.values())
 
 
@@ -130,18 +123,20 @@ def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[
 def stabilizer(group: FriezeGroup, monomial: Monomial) -> tuple[GroupElement, ...]:
     """The non-identity elements fixing the monomial, read off the coset table.
 
-    A power of the shift generator moves the support by its exponent, so each
-    coset of the shift subgroup holds at most one fixing element: the
-    representative followed by the shift that carries the image's support back
-    onto the monomial's.  The tuple therefore has at most three entries (only
-    F7 can reach three).  Empty tuple == trivial stabilizer.
+    A translation coset holds a fixing element exactly when the image of the
+    monomial under its representative has the monomial's ``_family_key``: the
+    representative followed by the translation by the base difference.  A
+    translation moves the base, so no other element of the coset fixes the
+    monomial, and the tuple has at most three entries (only F7 can reach
+    three).  Empty tuple == trivial stabilizer.
     """
     if monomial.is_unit:
         raise ValueError("stabilizer is only defined for nonunit monomials")
-    found = []
-    for rep in orbit_coset_representatives(group)[1:]:
-        lo = act(rep, monomial).support()[0]
-        element = shift(group, monomial.support()[0] - lo) * rep
-        if act(element, monomial) == monomial:
-            found.append(element)
+    key = _family_key(monomial, group.uses_glide)
+    cosets = zip(translation_coset_representatives(group)[1:], _coset_images(group, monomial)[1:])
+    found = [
+        shift(group, monomial[0] - image[0]) * rep
+        for rep, image in cosets
+        if _family_key(image, group.uses_glide) == key
+    ]
     return tuple(sorted(found, key=GroupElement.sort_key))

@@ -26,7 +26,7 @@ from .compositions import EMPTY, Composition, _unchecked, compositions_of, parse
 from .errors import ParseError, read_int
 from .groups import FriezeGroup
 from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image, fits_window
-from .series import TruncatedSeries, is_invariant
+from .series import TruncatedSeries, _family_images, is_invariant
 
 
 class BasisIndex(tuple):
@@ -183,9 +183,9 @@ def expand_in_basis(
     reported when its representative monomial is supported in the interior
     window [-window+margin, window-margin], and the labels come in ``sort_key``
     order.  Non-invariant input, and a margin that leaves no interior, are
-    rejected by ``is_invariant``.  Each orbit met in the interior is then
-    labelled once, with the coefficient of the term that met it: the interior
-    members of an orbit are joined by generator steps that stay in the
+    rejected by ``is_invariant``.  Each translate family met in the interior is
+    then labelled once, with the coefficient of its first interior term: the
+    interior members of an orbit are joined by generator steps that stay in the
     interior, and ``is_invariant`` has compared coefficients across each one.
     """
     if series.degree < 1:
@@ -194,12 +194,10 @@ def expand_in_basis(
         raise ValueError("series is not invariant on the interior window")
     interior = series.window - margin
     out: dict[BasisIndex, Fraction] = {}
-    seen: set[Monomial] = set()
-    for monomial, coeff in series._coeffs.items():
-        if monomial in seen or not fits_window(monomial, interior):
-            continue
-        seen.update(orbit_in_window(group, monomial, interior))
-        index = index_of_monomial(group, monomial)
+    # the interior terms by family: their images under the identity move
+    for key, members in next(_family_images(group, series, [(0, False, False)], interior)).items():
+        base, coeff = next(iter(members.items()))
+        index = index_of_monomial(group, (base, *key[1:]))
         if fits_window(representative_monomial(index), interior):
             out[index] = coeff
     return {index: out[index] for index in sorted(out, key=BasisIndex.sort_key)}

@@ -108,6 +108,7 @@ class MonomialX(_Blocks):
     delta = 0
 
     def __new__(cls, base: int, shape: Composition) -> "MonomialX":
+        base = operator.index(base)  # no float bases
         if base and not shape.parts:
             raise ValueError("unit monomial must have base 0")
         return tuple.__new__(cls, (base, shape.parts))
@@ -121,6 +122,7 @@ class MonomialXY(_Blocks):
 
     def __new__(cls, base: int, shape_x: Composition, shape_y: Composition, delta: int):
         px, py = shape_x.parts, shape_y.parts
+        base, delta = operator.index(base), operator.index(delta)  # no float bases or offsets
         if delta and not (px and py):
             raise ValueError("delta must be 0 when either block is empty")
         if base and not (px or py):

@@ -10,12 +10,14 @@ interior margin.
 
 from __future__ import annotations
 
+import re
+import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, starmap
+from itertools import combinations, combinations_with_replacement
 from typing import Union
 
-from .actions import _moves
+from .actions import _family_key, _moves
 from .errors import ParseError
 from .groups import FriezeGroup, generators
 from .monomials import (
@@ -262,6 +264,12 @@ class TruncatedSeries:
                 try:
                     value = values[coeff] = Fraction(coeff)
                 except (ValueError, ZeroDivisionError) as exc:
+                    limit = sys.get_int_max_str_digits()
+                    if limit and max(map(len, re.findall(r"\d+", coeff)), default=0) > limit:
+                        raise ValueError(  # quoting only a prefix, not thousands of digits
+                            f"malformed term {n}: coefficient {coeff[:20]!r}... has a number "
+                            f"of more than {limit} digits, too long to read"
+                        ) from None
                     raise ValueError(f"malformed term {n}: bad coefficient {coeff!r}") from exc
             try:
                 monomial = _parse_monomial(entry["monomial"], alphabet, factors_read)
@@ -317,38 +325,55 @@ def _merge(a: Monomial, b: Monomial) -> Monomial:
     return tuple.__new__(type(a), _image(bx, px, py, by - bx)[: len(a)])
 
 
+def _family_images(group: FriezeGroup, series: TruncatedSeries, moves: Iterable, bound: int):
+    """Yield, per ``_moves`` triple, the images of the terms of a series of positive
+    degree that lie in [-bound, bound], as {``_family_key``: {base: coeff}}.
+    ``_image`` runs once per (family, move), at the family's first base b0; base b
+    goes to b0' + (b - b0), or to b0' - (b - b0) after a reflection.  On the
+    symmetric bound the image of a support [lo, hi] lies in it when [lo+z, hi+z] does."""
+    glide, families = group.uses_glide, {}
+    for monomial, coeff in series._coeffs.items():
+        families.setdefault(_family_key(monomial, glide), {})[monomial[0]] = coeff
+    for z, reflect, swap in moves:
+        sign, out = -1 if reflect else 1, {}
+        for key, members in families.items():
+            b0 = next(iter(members))
+            lo, hi = _support(b0, *key[1:])
+            image = _image(*_fields((b0, *key[1:])), z, reflect, swap)[: len(key)]
+            first, last, offset = b0 - lo - z - bound, b0 - hi - z + bound, image[0] - sign * b0
+            kept = {offset + sign * b: coeff for b, coeff in members.items() if first <= b <= last}
+            if kept:
+                out[_family_key(image, glide)] = kept
+        yield out
+
+
 def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
     """Relabel every monomial by the group action, dropping images that leave
-    the window; linear in the series.  A support [lo, hi] lies in the window
-    after the element exactly when [lo+z, hi+z] does for its shift z (as in
-    ``is_invariant``), so only those images are built, each once: the action
-    is a bijection."""
+    the window; linear in the series.  Only the images that stay in the window
+    are built (by ``_family_images``), each once: the action is a bijection."""
     if element.group.alphabet != series.alphabet:
         raise ValueError(f"{element.group} does not act on alphabet {series.alphabet}")
-    window, (z, reflect, swap), out = series.window, _moves(element), {}
-    for monomial, coeff in series._coeffs.items():
-        support = _support(*monomial)
-        if support is None or -window - z <= support[0] and support[1] <= window - z:
-            image = _image(*_fields(monomial), z, reflect, swap)[: len(monomial)]
-            out[tuple.__new__(type(monomial), image)] = coeff
-    return TruncatedSeries._trusted(series.alphabet, series.degree, window, out)
+    if series.degree == 0:  # the unit: fixed by every element, in every window
+        return series
+    cls, out = MonomialX if series.alphabet == ALPHABET_X else MonomialXY, {}
+    moved = _family_images(element.group, series, [_moves(element)], series.window)
+    for key, images in next(moved).items():
+        rest = key[1:]
+        out.update((tuple.__new__(cls, (base,) + rest), coeff) for base, coeff in images.items())
+    return TruncatedSeries._trusted(series.alphabet, series.degree, series.window, out)
 
 
 def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bool:
     """Coefficient constancy on orbits, tested away from the window boundary.
 
-    The interior is [-window+margin, window-margin].  Each generator acts once
-    on each term: every term whose image lies in the interior must give the
-    image its own coefficient, and these images must be as many as the
-    interior terms.  A generator is a bijection, so the count falls short
-    exactly when some interior term has a preimage that is not a term.  margin >= 1
-    keeps the preimages of interior monomials inside the window (the shift
-    generators move indices by one), and margin <= window keeps at least one
-    index in the interior.  A nonzero series with no interior term and no
-    interior image is rejected too: nothing would be checked.  Each term's
-    support [lo, hi] is read once: a shift by z moves it to [lo+z, hi+z], a
-    reflection then to [-hi-z, -lo-z] and a block swap keeps it, so on the
-    symmetric interior the shift alone decides which images to build.
+    The interior is [-window+margin, window-margin].  Each generator must map
+    the interior terms onto themselves: the images of the terms that land in the
+    interior, each with its term's coefficient, must be exactly the interior
+    terms, which ``_family_images`` gives as the images under the identity.
+    margin >= 1 keeps the preimages of interior monomials inside the window
+    (the shift generators move indices by one), and margin <= window keeps at
+    least one index in the interior.  A nonzero series with no interior term
+    and no interior image is rejected too: nothing would be checked.
     """
     if margin < 1:
         raise ValueError("margin must be at least 1")
@@ -361,24 +386,12 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
         raise ValueError(f"{group} does not act on alphabet {series.alphabet}")
     if series.degree == 0:  # the unit: fixed by every element, in every window
         return True
-    interior, coeffs = series.window - margin, series._coeffs
-    supports = list(starmap(_support, coeffs))
-    inside = sum(-interior <= lo and hi <= interior for lo, hi in supports)
-    for z, reflect, swap in map(_moves, generators(group)):
-        hits, low, high = 0, -interior - z, interior - z
-        for (monomial, coeff), (lo, hi) in zip(coeffs.items(), supports):
-            if low <= lo and hi <= high:
-                if reflect or swap:  # a plain tuple finds the monomial it equals
-                    image = _image(*_fields(monomial), z, reflect, swap)[: len(monomial)]
-                else:
-                    image = (monomial[0] + z, *monomial[1:])
-                found = coeffs.get(image)
-                if found is not coeff and found != coeff:  # shared objects skip Fraction.__eq__
-                    return False
-                hits += 1
-        if hits != inside:
-            return False
-    if coeffs and not inside:
+    interior, moves = series.window - margin, map(_moves, generators(group))
+    walk = _family_images(group, series, [(0, False, False), *moves], interior)  # identity first
+    inside = next(walk)
+    if any(images != inside for images in walk):
+        return False
+    if series._coeffs and not inside:
         raise ValueError(
             f"no term of the series and none of its generator images lies in the "
             f"interior [{-interior}, {interior}], so there is nothing to check"

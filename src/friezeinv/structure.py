@@ -14,6 +14,7 @@ counts these per canonical label within enumeration bounds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -83,12 +84,16 @@ def embed(
 ) -> TruncatedSeries:
     """Series from a (family, base) -> value map: the term of a key is the
     member of that family whose base is ``base``.  A family number out of
-    range, a base of the wrong parity for an F2 or F5 family and a member that
-    leaves the window raise ValueError."""
+    range, a base of the wrong parity for an F2 or F5 family, a member that
+    leaves the window and a key that is not a pair of integers raise ValueError."""
     group, rep = index.group, representative_monomial(index)
     families = _families(group, rep)
     terms = []
-    for (family, base), value in values.items():
+    for key, value in values.items():
+        try:
+            family, base = map(operator.index, key)
+        except (TypeError, ValueError):
+            raise ValueError(f"key {key!r} is not a (family, base) pair of integers") from None
         if family not in range(len(families)):
             raise ValueError(f"{index} has families 0..{len(families) - 1}, not {family}")
         image = families[family]

@@ -24,7 +24,6 @@ from friezeinv import (
 )
 from friezeinv.actions import (
     _families,
-    orbit_coset_representatives,
     translation_coset_representatives,
 )
 from friezeinv.monomials import fits_window
@@ -212,6 +211,10 @@ def test_orbit_rejects_a_monomial_of_the_other_alphabet():
     ):
         with pytest.raises(TypeError, match="acts on"):
             orbit_in_window(group, monomial, 2)
+    for group in FriezeGroup:
+        other = normal_form_xy({1: 1}, {}) if group.alphabet == ALPHABET_X else normal_form_x({1: 1})
+        with pytest.raises(TypeError, match="acts on"):
+            stabilizer(group, other)
 
 
 @pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
@@ -301,6 +304,32 @@ def _labelled_monomials(group):
             rep = representative_monomial(index)
             out += [rep, act(translation_coset_representatives(group)[-1], rep)]
     return out
+
+
+_exponents = st.dictionaries(st.integers(-4, 4), st.integers(1, 3), max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(FriezeGroup)), st.data())
+def test_an_element_moves_a_translate_family_by_the_affine_law(group, data):
+    """The law the series kernel sends a family by: under rep * shift^z, the
+    images of two members of one translate family share every field but the
+    base, and their bases differ by the members' difference, negated when the
+    element reflects."""
+    rep = data.draw(st.sampled_from(translation_coset_representatives(group)))
+    element = rep * shift(group, data.draw(st.integers(-5, 5)))
+    if group.alphabet == ALPHABET_X:
+        member = normal_form_x(data.draw(_exponents.filter(bool)))
+        fields = (member.shape,)
+    else:
+        member = normal_form_xy(data.draw(_exponents.filter(bool)), data.draw(_exponents))
+        fields = (member.shape_x, member.shape_y, member.delta)
+    step = 2 if group.uses_glide else 1  # the translations are t, or g^2
+    other = type(member)(member.base + step * data.draw(st.integers(-4, 4)), *fields)
+    image, other_image = act(element, member), act(element, other)
+    assert other_image[1:] == image[1:]
+    sign = -1 if element.reverses_shift else 1
+    assert other_image.base - image.base == sign * (other.base - member.base)
 
 
 @pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
@@ -396,18 +425,18 @@ def test_stabilizer_matches_brute_force(group):
 
 
 @pytest.mark.parametrize(
-    "group, flags",
+    "group, words",
     [
         (FriezeGroup.F1, {"1"}),
-        (FriezeGroup.F2, {"1"}),
+        (FriezeGroup.F2, {"1", "g"}),
         (FriezeGroup.F3, {"1", "v"}),
         (FriezeGroup.F4, {"1", "r"}),
-        (FriezeGroup.F5, {"1", "v"}),
+        (FriezeGroup.F5, {"1", "g", "v", "v*g"}),
         (FriezeGroup.F6, {"1", "h"}),
         (FriezeGroup.F7, {"1", "v", "h", "v*h"}),
     ],
 )
-def test_orbit_coset_representatives(group, flags):
-    reps = orbit_coset_representatives(group)
-    assert len(reps) == len(flags)
-    assert {str(rep) for rep in reps} == flags
+def test_translation_coset_representatives(group, words):
+    reps = translation_coset_representatives(group)
+    assert len(reps) == len(words)
+    assert {str(rep) for rep in reps} == words

@@ -1,10 +1,13 @@
 import contextlib
+import importlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -255,6 +258,15 @@ def test_package_entry_point():
     assert result.stdout.splitlines() == ["f1[(1,0,2)]", "x[3] x[5]^2"]
 
 
+def test_console_script_names_cli_main():
+    # the [project.scripts] entry point an installed package runs as `friezeinv`
+    tomllib = pytest.importorskip("tomllib")  # 3.11 and later
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, attribute = scripts["friezeinv"].partition(":")
+    assert getattr(importlib.import_module(module), attribute) is main
+
+
 def test_check_reads_stdin():
     series = expand_basis_function(make_index(FriezeGroup.F1, composition(1)), 3)
     result = subprocess.run(
@@ -371,6 +383,19 @@ def test_overlong_json_integer_is_a_parse_error(tmp_path, capsys):
             "is too long to read; write a coefficient as a rational string"
         )
         assert "Traceback" not in err
+
+
+def test_overlong_coefficient_string_is_a_short_usage_error(tmp_path, capsys):
+    # Fraction reads the string with int, so the digit limit applies; the
+    # message names it and quotes only a prefix of the coefficient
+    limit = sys.get_int_max_str_digits()
+    for coeff in (_LONG, "1/" + _LONG, "-" + _LONG + "/3"):
+        payload = _x_payload()
+        payload["terms"][0]["coeff"] = coeff
+        code, out, err = _check_payload(tmp_path, capsys, payload)
+        _assert_clean_usage_error(code, out, err)
+        assert err.count("\n") == 1 and len(err.encode()) < 200, err[:300]
+        assert f"more than {limit} digits" in err
 
 
 def test_check_monomial_parse_error_names_its_term(tmp_path, capsys):

@@ -118,6 +118,20 @@ def test_degenerate_invariants_enforced():
         MonomialX(1, EMPTY)
 
 
+def test_constructors_read_base_and_offset_as_integers():
+    # the rule Composition and GroupElement.power follow: operator.index
+    one = composition(1)
+    for build in (
+        lambda: MonomialX(0.5, one),
+        lambda: MonomialXY(0.5, one, one, 0),
+        lambda: MonomialXY(0, one, one, 1.5),
+        lambda: MonomialXY("0", one, one, 0),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert str(MonomialXY(-1, one, one, 2)) == "x[0] y[2]"
+
+
 def test_constructor_guards_survive_python_O():
     code = (
         "from friezeinv import EMPTY, MonomialX, MonomialXY, composition\n"

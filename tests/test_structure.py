@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,13 @@ def test_embed_rejects_overflow_and_malformed_keys():
         embed(idx, {(0, 2): 1}, 3)  # the first family reaches y_4
     with pytest.raises(ValueError):
         embed(idx, {(0, 0, 0): 1}, 3)
+
+
+def test_embed_rejects_a_key_that_is_not_a_pair_of_integers():
+    idx = make_index(F1, composition(1))
+    for key in ((0, 0.5), (0.0, 0), 0, (0,), (0, 0, 0), "ab", None):
+        with pytest.raises(ValueError, match=re.escape(f"key {key!r} is not")):
+            embed(idx, {key: 1}, 3)
 
 
 def _labels(group):
