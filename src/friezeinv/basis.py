@@ -19,14 +19,14 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .actions import _coset_moves, orbit_in_window
 from .compositions import EMPTY, Composition, _unchecked, compositions_of, parse_composition
-from .errors import ParseError, read_int
+from .errors import ParseError, quote, read_int
 from .groups import FriezeGroup
 from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image, fits_window
-from .series import TruncatedSeries, _family_images, is_invariant
+from .series import TruncatedSeries, _invariant_interior
 
 
 class BasisIndex(tuple):
@@ -158,17 +158,10 @@ def enumerate_indices(
 
 
 def expand_basis_function(index: BasisIndex, window: int) -> TruncatedSeries:
-    """Orbit sum of the label's representative, truncated to the window.
-
-    Every distinct orbit member supported in [-window, window] appears once
-    with coefficient 1 (stabilized monomials are not repeated).
-    """
-    rep = representative_monomial(index)
-    if not fits_window(rep, window):
-        raise ValueError(
-            f"window {window} is too small for the representative monomial {rep}"
-        )
-    orbit = orbit_in_window(index.group, rep, window)
+    """Orbit sum of the label's representative, truncated to the window: each distinct
+    orbit member supported in [-window, window] once, with coefficient 1, whether or not
+    the representative is one.  With no member in the window it is the zero series."""
+    orbit = orbit_in_window(index.group, representative_monomial(index), window)
     return TruncatedSeries._trusted(
         index.group.alphabet, index.degree, window, dict.fromkeys(orbit, Fraction(1))
     )
@@ -183,23 +176,25 @@ def expand_in_basis(
     reported when its representative monomial is supported in the interior
     window [-window+margin, window-margin], and the labels come in ``sort_key``
     order.  Non-invariant input, and a margin that leaves no interior, are
-    rejected by ``is_invariant``.  Each translate family met in the interior is
-    then labelled once, with the coefficient of its first interior term: the
-    interior members of an orbit are joined by generator steps that stay in the
-    interior, and ``is_invariant`` has compared coefficients across each one.
+    rejected by ``is_invariant``'s one walk, which gives the interior terms by key.
+    Each translate family there is labelled by its first term: the first of each
+    key, and of each base parity for the glide groups.  The interior members of an
+    orbit are joined by generator steps that stay in the interior, and the walk
+    has compared coefficients across each one.
     """
     if series.degree < 1:
         raise ValueError("degree-0 series have no orbit-sum expansion")
-    if not is_invariant(group, series, margin):
+    inside = _invariant_interior(group, series, margin)
+    if inside is None:
         raise ValueError("series is not invariant on the interior window")
-    interior = series.window - margin
-    out: dict[BasisIndex, Fraction] = {}
-    # the interior terms by family: their images under the identity move
-    for key, members in next(_family_images(group, series, [(0, False, False)], interior)).items():
-        base, coeff = next(iter(members.items()))
-        index = index_of_monomial(group, (base, *key[1:]))
-        if fits_window(representative_monomial(index), interior):
-            out[index] = coeff
+    interior, out = series.window - margin, {}
+    for rest, members in inside.items():
+        first = next(iter(members))
+        other = (base for base in members if (base - first) % 2) if group.uses_glide else ()
+        for base in (first, *islice(other, 1)):
+            index = index_of_monomial(group, (base, *rest))
+            if fits_window(representative_monomial(index), interior):
+                out[index] = members[base]
     return {index: out[index] for index in sorted(out, key=BasisIndex.sort_key)}
 
 
@@ -221,7 +216,7 @@ def parse_basis_label(text: str) -> BasisIndex:
     """
     match = _LABEL_RE.match(text.strip())
     if match is None:
-        raise ParseError(f"bad basis label {text!r}", 0)
+        raise ParseError(f"bad basis label {quote(text)}", 0)
     digit, prime, body = match.groups()
     start = len(text) - len(text.lstrip()) + match.start(3)  # leading spaces count
     group = FriezeGroup(f"F{digit}")
@@ -231,20 +226,17 @@ def parse_basis_label(text: str) -> BasisIndex:
         shapes, sep, delta_text = body.partition(";")
         comma = re.search(r"\)\s*,\s*\(", shapes)
         if not sep or comma is None:
-            raise ParseError(f"two shapes and an offset are required in {text!r}", 0)
+            raise ParseError(f"two shapes and an offset are required in {quote(text)}", 0)
         shape_x = parse_composition(shapes[: comma.start() + 1], start)
         shape_y = parse_composition(shapes[comma.end() - 1 :], start + comma.end() - 1)
         at = start + len(shapes) + 1 + len(delta_text) - len(delta_text.lstrip())
         delta_text = delta_text.strip()
-        for prefix in ("Δ=", "delta="):
-            if delta_text.startswith(prefix):
-                delta_text = delta_text[len(prefix):]
-                at += len(prefix)
-                break
-        else:
-            raise ParseError(f"offset must be written Δ=<int> in {text!r}", at)
+        prefix = re.match("Δ=|delta=", delta_text)
+        if prefix is None:
+            raise ParseError(f"offset must be written Δ=<int> in {quote(text)}", at)
+        at, delta_text = at + prefix.end(), delta_text[prefix.end() :]
         if not delta_text.removeprefix("-").isdecimal():
-            raise ParseError(f"bad offset value {delta_text!r}", at)
+            raise ParseError(f"bad offset value {quote(delta_text)}", at)
         fields = shape_x, shape_y, read_int(delta_text, at)
     try:
         return make_index(group, *fields, primed=bool(prime))

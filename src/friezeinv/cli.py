@@ -19,7 +19,7 @@ from .basis import (
     index_of_monomial,
     parse_basis_label,
 )
-from .errors import ParseError
+from .errors import ParseError, quote
 from .groups import FriezeGroup
 from .monomials import format_monomial, parse_monomial
 from .actions import orbit_in_window, stabilizer
@@ -39,7 +39,7 @@ def _group(value: str) -> FriezeGroup:
     try:
         return FriezeGroup(value.upper())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown group {value!r} (expected F1..F7)")
+        raise argparse.ArgumentTypeError(f"unknown group {quote(value)} (expected F1..F7)")
 
 
 @functools.cache  # parse_args leaves the parser as it was and reads sys.stdout/stderr per call

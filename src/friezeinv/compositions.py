@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParseError, read_int
+from .errors import ParseError, quote, read_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +110,7 @@ def parse_composition(text: str, offset: int = 0) -> Composition:
     """Parse the text form ``(2,0,1)`` (empty: ``()``)."""
     stripped = text.strip()
     if not (stripped.startswith("(") and stripped.endswith(")")):
-        raise ParseError(f"composition must be parenthesized, got {text!r}", offset)
+        raise ParseError(f"composition must be parenthesized, got {quote(text)}", offset)
     inner = stripped[1:-1].strip()
     if not inner:
         return EMPTY
@@ -118,7 +118,7 @@ def parse_composition(text: str, offset: int = 0) -> Composition:
     for chunk in inner.split(","):
         chunk = chunk.strip()
         if not chunk.removeprefix("-").isdecimal():
-            raise ParseError(f"bad composition entry {chunk!r} in {text!r}", offset)
+            raise ParseError(f"bad composition entry {quote(chunk)} in {quote(text)}", offset)
         entries.append(read_int(chunk, offset))
     try:
         return Composition(tuple(entries))

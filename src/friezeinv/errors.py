@@ -17,6 +17,12 @@ class ParseError(ValueError):
         self.position = position
 
 
+def quote(value: object) -> str:
+    """``repr`` of a piece of the input, cut to 40 characters and ``...`` if longer."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def read_int(text: str, position: int | None = None) -> int:
     """``int`` of a decimal literal; one past the interpreter's digit limit is a ParseError."""
     try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
-from .errors import ParseError, read_int
+from .errors import ParseError, quote, read_int
 from .monomials import ALPHABET_X, ALPHABET_XY
 
 
@@ -196,7 +196,7 @@ def parse_word(group: FriezeGroup, text: str) -> GroupElement:
         pos = text.index(token, pos)
         match = _WORD_TOKEN_RE.fullmatch(token)
         if match is None:
-            raise ParseError(f"bad generator token {token!r}", pos)
+            raise ParseError(f"bad generator token {quote(token)}", pos)
         letter, exp_text = match.groups()
         try:
             gen = generator(group, letter)

@@ -27,7 +27,7 @@ import re
 from typing import Mapping, Union
 
 from .compositions import EMPTY, Composition, _unchecked
-from .errors import ParseError, read_int
+from .errors import ParseError, quote, read_int
 
 ALPHABET_X = "X"
 ALPHABET_XY = "XY"
@@ -250,7 +250,7 @@ def parse_monomial(text: str, alphabet: str) -> Monomial:
 def _parse_monomial(text: str, alphabet: str, factors_read: dict) -> Monomial:
     """``parse_monomial`` reading only the tokens not in ``factors_read``, one alphabet's memo."""
     if alphabet not in (ALPHABET_X, ALPHABET_XY):
-        raise ValueError(f"unknown alphabet {alphabet!r}")
+        raise ValueError(f"unknown alphabet {quote(alphabet)}")
     stripped = text.strip()
     if stripped in ("", "1"):
         return UNIT_X if alphabet == ALPHABET_X else UNIT_XY
@@ -261,11 +261,11 @@ def _parse_monomial(text: str, alphabet: str, factors_read: dict) -> Monomial:
             match = _FACTOR_RE.fullmatch(token)
             try:
                 if match is None:
-                    fault = f"bad monomial factor {token!r}"
+                    fault = f"bad monomial factor {quote(token)}"
                 elif match[1] == "y" and alphabet == ALPHABET_X:
                     fault = "y-variables are not allowed in a one-alphabet monomial"
                 elif (exponent := read_int(match[3] or "1")) < 1:
-                    fault = f"exponent must be positive in {token!r}"
+                    fault = f"exponent must be positive in {quote(token)}"
                 else:
                     factor = factors_read[token] = (match[1] == "y", (read_int(match[2]), exponent))
             except ParseError as exc:  # an integer too long to read, placed at its token below

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Union
 
-from .actions import _family_key, _moves
-from .errors import ParseError
+from .actions import _moves
+from .errors import ParseError, quote
 from .groups import FriezeGroup, generators
 from .monomials import (
     ALPHABET_X,
@@ -59,7 +59,7 @@ class TruncatedSeries:
         coeffs: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = (),
     ) -> None:
         if alphabet not in (ALPHABET_X, ALPHABET_XY):
-            raise ValueError(f"unknown alphabet {alphabet!r}")
+            raise ValueError(f"unknown alphabet {quote(alphabet)}")
         if degree < 0:
             raise ValueError("degree must be non-negative")
         if window < 0:
@@ -251,7 +251,7 @@ class TruncatedSeries:
             if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
                 raise ValueError(
                     f"malformed term {n}: coefficient must be an integer or a string, "
-                    f"got {coeff!r}"
+                    f"got {quote(coeff)}"
                 )
             # after the type check, so that true never reads a stored 1
             value = values.get(coeff)
@@ -259,18 +259,18 @@ class TruncatedSeries:
                 if isinstance(coeff, str) and "e" in coeff.lower():
                     # Fraction would expand the power of ten in full
                     raise ValueError(
-                        f"malformed term {n}: exponent notation is not allowed, got {coeff!r}"
+                        f"malformed term {n}: exponent notation is not allowed, got {quote(coeff)}"
                     )
                 try:
                     value = values[coeff] = Fraction(coeff)
                 except (ValueError, ZeroDivisionError) as exc:
                     limit = sys.get_int_max_str_digits()
                     if limit and max(map(len, re.findall(r"\d+", coeff)), default=0) > limit:
-                        raise ValueError(  # quoting only a prefix, not thousands of digits
-                            f"malformed term {n}: coefficient {coeff[:20]!r}... has a number "
+                        raise ValueError(
+                            f"malformed term {n}: coefficient {quote(coeff)} has a number "
                             f"of more than {limit} digits, too long to read"
                         ) from None
-                    raise ValueError(f"malformed term {n}: bad coefficient {coeff!r}") from exc
+                    raise ValueError(f"malformed term {n}: bad coefficient {quote(coeff)}") from exc
             try:
                 monomial = _parse_monomial(entry["monomial"], alphabet, factors_read)
             except ParseError as exc:  # its message keeps the position inside the monomial
@@ -312,7 +312,7 @@ def _accumulate(
 def _json_int(data: Mapping, key: str) -> int:
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"malformed series object: {key} must be an integer, got {value!r}")
+        raise ValueError(f"malformed series object: {key} must be an integer, got {quote(value)}")
     return value
 
 
@@ -325,25 +325,24 @@ def _merge(a: Monomial, b: Monomial) -> Monomial:
     return tuple.__new__(type(a), _image(bx, px, py, by - bx)[: len(a)])
 
 
-def _family_images(group: FriezeGroup, series: TruncatedSeries, moves: Iterable, bound: int):
-    """Yield, per ``_moves`` triple, the images of the terms of a series of positive
-    degree that lie in [-bound, bound], as {``_family_key``: {base: coeff}}.
-    ``_image`` runs once per (family, move), at the family's first base b0; base b
-    goes to b0' + (b - b0), or to b0' - (b - b0) after a reflection.  On the
-    symmetric bound the image of a support [lo, hi] lies in it when [lo+z, hi+z] does."""
-    glide, families = group.uses_glide, {}
+def _family_images(series: TruncatedSeries, moves: Iterable, bound: int):
+    """Yield, per ``_moves`` triple, the images in [-bound, bound] of the terms of a series
+    of positive degree, as {fields without the base: {base: coeff}}.  ``_image`` is affine in
+    the base, so it runs once per key and move, at the first base b0: b of either parity goes to
+    b0' ± (b - b0), minus after a reflection.  [lo, hi] lands in the bound if [lo+z, hi+z] does."""
+    families = {}
     for monomial, coeff in series._coeffs.items():
-        families.setdefault(_family_key(monomial, glide), {})[monomial[0]] = coeff
+        families.setdefault(monomial[1:], {})[monomial[0]] = coeff
     for z, reflect, swap in moves:
         sign, out = -1 if reflect else 1, {}
-        for key, members in families.items():
+        for rest, members in families.items():
             b0 = next(iter(members))
-            lo, hi = _support(b0, *key[1:])
-            image = _image(*_fields((b0, *key[1:])), z, reflect, swap)[: len(key)]
+            lo, hi = _support(b0, *rest)
+            image = _image(*_fields((b0, *rest)), z, reflect, swap)
             first, last, offset = b0 - lo - z - bound, b0 - hi - z + bound, image[0] - sign * b0
             kept = {offset + sign * b: coeff for b, coeff in members.items() if first <= b <= last}
             if kept:
-                out[_family_key(image, glide)] = kept
+                out[image[1 : len(rest) + 1]] = kept
         yield out
 
 
@@ -356,25 +355,13 @@ def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
     if series.degree == 0:  # the unit: fixed by every element, in every window
         return series
     cls, out = MonomialX if series.alphabet == ALPHABET_X else MonomialXY, {}
-    moved = _family_images(element.group, series, [_moves(element)], series.window)
-    for key, images in next(moved).items():
-        rest = key[1:]
+    for rest, images in next(_family_images(series, [_moves(element)], series.window)).items():
         out.update((tuple.__new__(cls, (base,) + rest), coeff) for base, coeff in images.items())
     return TruncatedSeries._trusted(series.alphabet, series.degree, series.window, out)
 
 
-def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bool:
-    """Coefficient constancy on orbits, tested away from the window boundary.
-
-    The interior is [-window+margin, window-margin].  Each generator must map
-    the interior terms onto themselves: the images of the terms that land in the
-    interior, each with its term's coefficient, must be exactly the interior
-    terms, which ``_family_images`` gives as the images under the identity.
-    margin >= 1 keeps the preimages of interior monomials inside the window
-    (the shift generators move indices by one), and margin <= window keeps at
-    least one index in the interior.  A nonzero series with no interior term
-    and no interior image is rejected too: nothing would be checked.
-    """
+def _invariant_interior(group: FriezeGroup, series: TruncatedSeries, margin: int) -> dict | None:
+    """``is_invariant``'s one walk: the interior terms by key if invariant, else None."""
     if margin < 1:
         raise ValueError("margin must be at least 1")
     if margin > series.window:
@@ -384,19 +371,34 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
         )
     if group.alphabet != series.alphabet:
         raise ValueError(f"{group} does not act on alphabet {series.alphabet}")
-    if series.degree == 0:  # the unit: fixed by every element, in every window
-        return True
+    if series.degree == 0:  # the unit: fixed by every element, in every window, unlabelled
+        return {}
     interior, moves = series.window - margin, map(_moves, generators(group))
-    walk = _family_images(group, series, [(0, False, False), *moves], interior)  # identity first
+    walk = _family_images(series, [(0, False, False), *moves], interior)  # identity first
     inside = next(walk)
     if any(images != inside for images in walk):
-        return False
+        return None
     if series._coeffs and not inside:
         raise ValueError(
             f"no term of the series and none of its generator images lies in the "
             f"interior [{-interior}, {interior}], so there is nothing to check"
         )
-    return True
+    return inside
+
+
+def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bool:
+    """Coefficient constancy on orbits, tested away from the window boundary.
+
+    The interior is [-window+margin, window-margin].  Each generator must map
+    the interior terms onto themselves: the images of the terms that land in the
+    interior, each with its term's coefficient, must be exactly the interior
+    terms, the images under the identity; one walk of ``_family_images`` builds
+    them all.  margin >= 1 keeps the preimages of interior monomials inside the
+    window (the shift generators move indices by one), and margin <= window keeps
+    at least one index in the interior.  A nonzero series with no interior term
+    and no interior image is rejected too: nothing would be checked.
+    """
+    return _invariant_interior(group, series, margin) is not None
 
 
 def _symmetric(r: int, window: int, choose) -> TruncatedSeries:

@@ -400,8 +400,18 @@ def test_expand_palindrome_orbit_sum_counts_each_monomial_once():
 
 
 def test_expand_window_too_small():
+    # a window too small for the representative still holds other orbit members,
+    # and one too small for every member gives the zero series
+    series = expand_basis_function(make_index(F1, composition(1, 1, 1, 1)), 2)
+    assert [str(m) for m, _ in series.terms()] == ["x[-2] x[-1] x[0] x[1]", "x[-1] x[0] x[1] x[2]"]
+    pair = expand_basis_function(make_index(F1, composition(1, 0, 0, 0, 1)), 2)
+    assert [str(m) for m, _ in pair.terms()] == ["x[-2] x[2]"]
+    for group in FriezeGroup:
+        for label in enumerate_indices(group, 2, 2, 1):
+            span = representative_monomial(label).span
+            assert expand_basis_function(label, 0).is_zero() == (span > 1), label
     with pytest.raises(ValueError):
-        expand_basis_function(make_index(F1, composition(1, 1, 1, 1)), 2)
+        expand_basis_function(make_index(F1, composition(1)), -1)
 
 
 @pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)

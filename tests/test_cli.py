@@ -398,6 +398,69 @@ def test_overlong_coefficient_string_is_a_short_usage_error(tmp_path, capsys):
         assert f"more than {limit} digits" in err
 
 
+_GARBAGE = "q" * 5000
+
+
+def _assert_short_usage_error(code, out, err):
+    # the message quotes only a prefix of the offending input
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err[:300]
+    assert "..." in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("coeff", _GARBAGE),
+        ("coeff", "1e" + _GARBAGE),
+        ("coeff", [1] * 2000),
+        ("monomial", f"x[{_GARBAGE}]"),
+        ("monomial", "x[0]^-" + "1" * 4000),
+        ("alphabet", _GARBAGE),
+        ("degree", _GARBAGE),
+    ],
+)
+def test_series_file_errors_quote_a_bounded_prefix(tmp_path, capsys, field, value):
+    payload = _x_payload()
+    if field in ("coeff", "monomial"):
+        payload["terms"][0][field] = value
+    else:
+        payload[field] = value
+    _assert_short_usage_error(*_check_payload(tmp_path, capsys, payload))
+
+
+@pytest.mark.parametrize("command", ["canon", "stab", "orbit"])
+def test_monomial_errors_quote_a_bounded_prefix(capsys, command):
+    window = ("-N", "2") if command == "orbit" else ()
+    argv = (command, "--group", "F1", f"x[0] {_GARBAGE}", *window)
+    _assert_short_usage_error(*run_cli(capsys, *argv))
+
+
+@pytest.mark.parametrize(
+    "label",
+    [f"f9[{_GARBAGE}]", f"f1[{_GARBAGE}]", f"f1[(1,{_GARBAGE})]", f"f6[(1),(2);Δ={_GARBAGE}]",
+     f"f6[(1),(2);{_GARBAGE}]", f"f6[(1){_GARBAGE}]"],
+)
+def test_label_errors_quote_a_bounded_prefix(capsys, label):
+    _assert_short_usage_error(*run_cli(capsys, "expand", label, "-N", "2"))
+
+
+def test_unknown_group_quotes_a_bounded_prefix(capsys):
+    code, out, err = run_cli(capsys, "canon", "--group", _GARBAGE, "x[0]")
+    assert (code, out) == (2, "")
+    *_, message = err.splitlines()  # argparse prints its usage line first
+    assert len(message.encode()) < 200 and "unknown group 'qqq" in message, err[:300]
+
+
+def test_short_inputs_are_quoted_whole(tmp_path, capsys):
+    payload = _x_payload()
+    payload["terms"][0]["coeff"] = "abc"
+    code, out, err = _check_payload(tmp_path, capsys, payload)
+    assert err == "error: malformed term 0: bad coefficient 'abc'\n"
+    code, out, err = run_cli(capsys, "expand", "f9[(1)]", "-N", "2")
+    assert err == "parse error: at position 0: bad basis label 'f9[(1)]'\n"
+
+
 def test_check_monomial_parse_error_names_its_term(tmp_path, capsys):
     for monomials, expected in (
         (["x[0]", "x[1]", "x[q]"], "malformed term 2: at position 0: bad monomial factor 'x[q]'"),

@@ -207,6 +207,12 @@ def test_overlong_word_exponent_is_a_positioned_parse_error():
         assert info.value.position == position
 
 
+def test_bad_word_token_is_quoted_by_a_bounded_prefix():
+    with pytest.raises(ParseError) as info:
+        parse_word(F3, "v*" + "q" * 5000)
+    assert str(info.value) == "at position 2: bad generator token '" + "q" * 39 + "..."
+
+
 def test_word_parse_rejects_foreign_generator():
     with pytest.raises(ParseError):
         parse_word(F1, "v")

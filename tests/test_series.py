@@ -38,10 +38,10 @@ from friezeinv import (
     representative_monomial,
     shift,
 )
-from friezeinv.actions import translation_coset_representatives
+from friezeinv.actions import _family_key, _moves, translation_coset_representatives
 from friezeinv.errors import ParseError
-from friezeinv.monomials import fits_window
-from friezeinv.series import _accumulate, _merge
+from friezeinv.monomials import _fields, _image, _support, fits_window
+from friezeinv.series import _accumulate, _family_images, _merge
 from conftest import group_monomials
 
 F1, F2, F3, F4, F5, F6, F7 = FriezeGroup
@@ -851,6 +851,104 @@ def test_act_series_agrees_with_the_per_term_action(data):
     image = act_series(element, series)
     assert image._coeffs == _per_term_action(element, series)
     assert image.num_terms == sum(fits_window(act(element, m), window) for m in series.monomials())
+
+
+def _family_keyed_images(group, series, moves, bound):
+    """The reference walk: ``_family_images`` keyed by ``actions._family_key``, so
+    that for the glide groups each base parity is a group of its own."""
+    glide, families = group.uses_glide, {}
+    for monomial, coeff in series._coeffs.items():
+        families.setdefault(_family_key(monomial, glide), {})[monomial[0]] = coeff
+    for z, reflect, swap in moves:
+        sign, out = -1 if reflect else 1, {}
+        for key, members in families.items():
+            b0 = next(iter(members))
+            lo, hi = _support(b0, *key[1:])
+            image = _image(*_fields((b0, *key[1:])), z, reflect, swap)[: len(key)]
+            first, last, offset = b0 - lo - z - bound, b0 - hi - z + bound, image[0] - sign * b0
+            kept = {offset + sign * b: coeff for b, coeff in members.items() if first <= b <= last}
+            if kept:
+                out[_family_key(image, glide)] = kept
+        yield out
+
+
+def _two_walk_is_invariant(group, series, margin):
+    """The reference invariance test: every generator's images under the
+    reference walk equal the identity's, with the phrases of its errors."""
+    if margin < 1:
+        raise ValueError("margin must be at least 1")
+    if margin > series.window:
+        raise ValueError("the interior is empty")
+    if group.alphabet != series.alphabet:
+        raise ValueError("does not act on alphabet")
+    if series.degree == 0:
+        return True
+    moves = [(0, False, False), *map(_moves, generators(group))]
+    inside, *images = _family_keyed_images(group, series, moves, series.window - margin)
+    if any(image != inside for image in images):
+        return False
+    if series._coeffs and not inside:
+        raise ValueError("so there is nothing to check")
+    return True
+
+
+def _two_walk_expansion(group, series, margin):
+    """The reference expansion: the invariance test, then a second identity walk
+    of the reference, each family labelled by its first interior term."""
+    if series.degree < 1:
+        raise ValueError("degree-0 series have no orbit-sum expansion")
+    if not _two_walk_is_invariant(group, series, margin):
+        raise ValueError("series is not invariant on the interior window")
+    interior, out = series.window - margin, {}
+    walk = _family_keyed_images(group, series, [(0, False, False)], interior)
+    for key, members in next(walk).items():
+        base, coeff = next(iter(members.items()))
+        index = index_of_monomial(group, (base, *key[1:]))
+        if fits_window(representative_monomial(index), interior):
+            out[index] = coeff
+    return out
+
+
+def _flat(images, cut):
+    """{monomial fields: coeff} of a walk's output, ``cut`` fields off each key."""
+    return {(b, *key[cut:]): c for key, members in images.items() for b, c in members.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_walk_agrees_with_the_family_keyed_walk(data):
+    group = data.draw(st.sampled_from(list(FriezeGroup)))
+    window = data.draw(st.integers(1, 4))
+    series = data.draw(group_series(group, data.draw(st.integers(1, 3)), window))
+    elements = [*generators(group), *translation_coset_representatives(group)]
+    z = data.draw(st.integers(-window - 2, window + 2))
+    elements.append(data.draw(st.sampled_from(elements)) * shift(group, z))
+    moves = [(0, False, False), *map(_moves, elements)]
+    for bound in range(window + 2):
+        walk = _family_images(series, moves, bound)
+        reference = _family_keyed_images(group, series, moves, bound)
+        for images, expected in zip(walk, reference, strict=True):
+            assert _flat(images, 0) == _flat(expected, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tampered_orbit_sums(), any_series_case()))
+def test_one_walk_agrees_with_the_two_walk_composition(case):
+    _same_outcome(is_invariant, _two_walk_is_invariant, *case)
+    _same_outcome(expand_in_basis, _two_walk_expansion, *case)
+
+
+@pytest.mark.parametrize("group", [F2, F5], ids=str)
+def test_both_base_parities_under_one_key_get_their_own_labels(group):
+    # O(x_1) has x at odd indices and O(y_1) has x at even ones: x[1] and x[0]
+    # are one group of the walk, with bases 0 and -1, but two labels
+    window, margin = 4, 1
+    odd, even = (index_of_monomial(group, parse_monomial(t, ALPHABET_XY)) for t in ("x[1]", "y[1]"))
+    third = Fraction(1, 3)
+    series = expand_basis_function(odd, window) * 2 - expand_basis_function(even, window) * third
+    inside = next(_family_images(series, [(0, False, False)], window - margin))
+    assert {base % 2 for base in inside[(1,), (), 0]} == {0, 1}
+    assert expand_in_basis(group, series, margin) == {odd: 2, even: Fraction(-1, 3)}
 
 
 # -- normal forms built unchecked: block products, symmetric functions, normal_form_*
