@@ -10,8 +10,7 @@ Several raw labels can name the same orbit (reversal for F3, shape swaps with
 an offset adjustment for F4/F6/F7, the parity-coupled swap families for
 F2/F5).  The canonical label has the least key (primed, shape_x parts,
 shape_y parts, delta) over the images of a representative under the
-translation-coset representatives, computed by the block kernel
-``monomials._image`` on plain tuples; only the chosen label is built.
+translation-coset representatives; ``index_of_monomial`` computes it.
 """
 
 from __future__ import annotations
@@ -97,15 +96,17 @@ def representative_monomial(index: BasisIndex) -> Monomial:
 
 
 def index_of_monomial(group: FriezeGroup, monomial: Monomial) -> BasisIndex:
-    """The unique basis label whose orbit contains the monomial."""
-    fields, glide = _fields(monomial), group.uses_glide
-    if not (fields[1] or fields[2]):
+    """The basis label of the monomial's orbit, the least key over its coset images: a normal
+    form is its own identity image (the first move), so ``_image`` runs for the others only."""
+    (base, px, py, delta), glide = _fields(monomial), group.uses_glide
+    if not (px or py):
         raise ValueError("the unit monomial has no basis label")
-    keys = []
-    for move in _coset_moves(group):
-        b, px, py, d = _image(*fields, *move)
-        keys.append((glide and b % 2 == 1, px, py, d))
-    return tuple.__new__(BasisIndex, (*min(keys), group))
+    least = (glide and base % 2 == 1, px, py, delta)
+    for shift, reflect, swap in _coset_moves(group)[1:]:
+        b, x, y, d = _image(base, px, py, delta, shift, reflect, swap)
+        if (key := (glide and b % 2 == 1, x, y, d)) < least:
+            least = key
+    return tuple.__new__(BasisIndex, (*least, group))
 
 
 def canonical_index(
@@ -130,10 +131,10 @@ def enumerate_indices(
     ``max_parts`` parts and whose offset satisfies |delta| <= max_abs_delta,
     in deterministic order.
 
-    Every raw label inside the bounds is kept when it is its own canonical
-    form (the canonicity test of orderly generation); canonicalization is
-    idempotent and every canonical label inside the bounds is such a raw
-    label, so each orbit is listed exactly once.  The bounds apply to the
+    Each raw label inside the bounds is canonicalized once and kept when it is its own
+    canonical form (orderly generation); that is idempotent and each canonical label
+    inside the bounds is such a raw label, so each orbit is listed once, in plain tuple
+    order (``sort_key`` order for distinct labels of one group).  The bounds apply to the
     canonical label, so an F4, F5 or F7 orbit with a raw label inside them can
     be missing: x[1] y[1] y[3] has delta 0 but is f7[(1),(1,0,1);Δ=-2]."""
     if degree < 1:
@@ -144,17 +145,19 @@ def enumerate_indices(
         raise ValueError("max_abs_delta must be non-negative")
     # one alphabet is the case order_x == degree: empty y shape, no offset
     orders = range(degree + 1) if group.alphabet != ALPHABET_X else (degree,)
-    parities = (False, True) if group.uses_glide else (False,)
+    parities = ((False, 0), (True, -1)) if group.uses_glide else ((False, 0),)
+    size = 2 if group.alphabet == ALPHABET_X else 4
     labels: list[BasisIndex] = []
     for order_x in orders:
         deltas = range(-max_abs_delta, max_abs_delta + 1) if 0 < order_x < degree else (0,)
-        shapes_x = compositions_of(order_x, max_parts)
-        shapes_y = compositions_of(degree - order_x, max_parts)
-        for sx, sy, delta, primed in product(shapes_x, shapes_y, deltas, parities):
-            raw = tuple.__new__(BasisIndex, (primed, sx.parts, sy.parts, delta, group))
-            if index_of_monomial(group, representative_monomial(raw)) == raw:
-                labels.append(raw)
-    return sorted(labels, key=BasisIndex.sort_key)
+        shapes_x = [shape.parts for shape in compositions_of(order_x, max_parts)]
+        shapes_y = [shape.parts for shape in compositions_of(degree - order_x, max_parts)]
+        for px, py, delta, (primed, base) in product(shapes_x, shapes_y, deltas, parities):
+            label = index_of_monomial(group, (base, px, py, delta)[:size])
+            if label == (primed, px, py, delta, group):
+                labels.append(label)
+    labels.sort()
+    return labels
 
 
 def expand_basis_function(index: BasisIndex, window: int) -> TruncatedSeries:

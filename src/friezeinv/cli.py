@@ -35,11 +35,22 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
-def _group(value: str) -> FriezeGroup:
-    try:
-        return FriezeGroup(value.upper())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown group {quote(value)} (expected F1..F7)")
+def _argument(read, message: str):
+    """An argparse type: ``read`` of the value, or ``message`` naming it by ``quote``
+    when ``read`` raises ValueError or KeyError (argparse's own messages echo it whole)."""
+
+    def convert(value: str):
+        try:
+            return read(value)
+        except (ValueError, KeyError):
+            raise argparse.ArgumentTypeError(message.format(quote(value))) from None
+
+    return convert
+
+
+_group = _argument(lambda value: FriezeGroup(value.upper()), "unknown group {} (expected F1..F7)")
+_int = _argument(int, "invalid int value: {}")
+_kind = _argument({"e": "e", "h": "h"}.__getitem__, "invalid choice: {} (choose from 'e', 'h')")
 
 
 @functools.cache  # parse_args leaves the parser as it was and reads sys.stdout/stderr per call
@@ -58,35 +69,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     expand = sub.add_parser("expand", help="truncated expansion of a basis label")
     expand.add_argument("label", help="basis label, e.g. 'f6[(1),(2);Δ=-3]'")
-    expand.add_argument("-N", "--window", type=int, required=True)
+    expand.add_argument("-N", "--window", type=_int, required=True)
     expand.add_argument("--json", action="store_true")
 
     check = sub.add_parser("check", help="test a series file for invariance")
     check.add_argument("--group", type=_group, required=True)
     check.add_argument("series", help="path to a series JSON file, or - for stdin")
-    check.add_argument("--margin", type=int, default=1)
+    check.add_argument("--margin", type=_int, default=1)
     check.add_argument("--json", action="store_true")
 
     census = sub.add_parser("census", help="component census of a graded piece")
     census.add_argument("--group", type=_group, required=True)
-    census.add_argument("-k", "--degree", type=int, required=True)
-    census.add_argument("--max-parts", type=int, required=True)
-    census.add_argument("--max-delta", type=int, default=0)
+    census.add_argument("-k", "--degree", type=_int, required=True)
+    census.add_argument("--max-parts", type=_int, required=True)
+    census.add_argument("--max-delta", type=_int, default=0)
     census.add_argument("--json", action="store_true")
 
     symfunc = sub.add_parser("symfunc", help="elementary/complete symmetric functions")
-    symfunc.add_argument("kind", choices=("e", "h"))
-    symfunc.add_argument("r", type=int)
-    symfunc.add_argument("-N", "--window", type=int, required=True)
+    symfunc.add_argument("kind", type=_kind, choices=("e", "h"))  # choices: for the help text
+    symfunc.add_argument("r", type=_int)
+    symfunc.add_argument("-N", "--window", type=_int, required=True)
     symfunc.add_argument("--group", type=_group, default=FriezeGroup.F1)
     symfunc.add_argument("--expand-basis", action="store_true")
-    symfunc.add_argument("--margin", type=int, default=1)
+    symfunc.add_argument("--margin", type=_int, default=1)
     symfunc.add_argument("--json", action="store_true")
 
     orbit = sub.add_parser("orbit", help="orbit of a monomial inside a window")
     orbit.add_argument("--group", type=_group, required=True)
     orbit.add_argument("monomial")
-    orbit.add_argument("-N", "--window", type=int, required=True)
+    orbit.add_argument("-N", "--window", type=_int, required=True)
     orbit.add_argument("--json", action="store_true")
 
     stab = sub.add_parser("stab", help="stabilizer of a monomial")
@@ -127,8 +138,11 @@ def _load_series(path: str) -> TruncatedSeries:
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:  # its message echoes the whole path
+            raise ValueError(f"cannot read {quote(path)}: {exc.strerror}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

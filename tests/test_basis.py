@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from friezeinv import (
     ALPHABET_X,
@@ -12,6 +14,7 @@ from friezeinv import (
     Composition,
     FriezeGroup,
     MonomialX,
+    MonomialXY,
     canonical_index,
     composition,
     compositions_of,
@@ -26,7 +29,10 @@ from friezeinv import (
     parse_basis_label,
     representative_monomial,
 )
+from friezeinv import basis
+from friezeinv.actions import _coset_moves
 from friezeinv.errors import ParseError
+from friezeinv.monomials import _fields as _monomial_fields, _image
 from conftest import brute_orbit_in_window, group_monomials
 
 F1, F2, F3, F4, F5, F6, F7 = FriezeGroup
@@ -377,6 +383,118 @@ def test_enumerate_matches_brute_force(group):
                 got = enumerate_indices(group, degree, max_parts, max_delta)
                 assert len(got) == len(expected), (degree, max_parts, max_delta)
                 assert set(got) == expected, (degree, max_parts, max_delta)
+
+
+# ---------------------------------------------------------------------------
+# the list-and-min kernel and the raw-label enumeration, kept as references
+# for the running least key and the one canonicalization per raw label
+# ---------------------------------------------------------------------------
+
+def _listed_least_key(group: FriezeGroup, monomial) -> BasisIndex:
+    """The key of every coset image, the identity's included, through ``_image``,
+    collected in a list; the label is its ``min``."""
+    fields, glide = _monomial_fields(monomial), group.uses_glide
+    if not (fields[1] or fields[2]):
+        raise ValueError("the unit monomial has no basis label")
+    keys = []
+    for move in _coset_moves(group):
+        b, px, py, d = _image(*fields, *move)
+        keys.append((glide and b % 2 == 1, px, py, d))
+    return tuple.__new__(BasisIndex, (*min(keys), group))
+
+
+def _raw_label_enumeration(group, degree, max_parts, max_abs_delta) -> list[BasisIndex]:
+    """Each raw label built as a BasisIndex, kept when the label of its
+    ``representative_monomial`` equals it whole, and sorted by ``sort_key``."""
+    orders = range(degree + 1) if group.alphabet != ALPHABET_X else (degree,)
+    parities = (False, True) if group.uses_glide else (False,)
+    labels = []
+    for order_x in orders:
+        deltas = range(-max_abs_delta, max_abs_delta + 1) if 0 < order_x < degree else (0,)
+        for sx in compositions_of(order_x, max_parts):
+            for sy in compositions_of(degree - order_x, max_parts):
+                for delta in deltas:
+                    for primed in parities:
+                        raw = tuple.__new__(BasisIndex, (primed, sx.parts, sy.parts, delta, group))
+                        if _listed_least_key(group, representative_monomial(raw)) == raw:
+                            labels.append(raw)
+    return sorted(labels, key=BasisIndex.sort_key)
+
+
+_SHAPES = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
+    lambda parts: parts[0] and parts[-1]
+).map(lambda parts: composition(*parts))
+
+
+@st.composite
+def _group_monomials(draw):
+    """A group and a nonunit monomial of its alphabet: x-only, y-only or two blocks,
+    at any base, odd and negative ones included."""
+    group = draw(st.sampled_from(list(FriezeGroup)))
+    base = draw(st.integers(-9, 9))
+    if group.alphabet == ALPHABET_X:
+        return group, MonomialX(base, draw(_SHAPES))
+    kind = draw(st.sampled_from(("x", "y", "xy")))
+    shape_x = draw(_SHAPES) if kind != "y" else EMPTY
+    shape_y = draw(_SHAPES) if kind != "x" else EMPTY
+    delta = draw(st.integers(-5, 5)) if kind == "xy" else 0
+    return group, MonomialXY(base, shape_x, shape_y, delta)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_group_monomials())
+@example((F2, MonomialXY(-1, composition(1), EMPTY, 0)))
+@example((F5, MonomialXY(-3, EMPTY, composition(2, 1), 0)))
+@example((F7, MonomialXY(-2, composition(1), composition(1, 0, 1), 0)))
+def test_running_least_key_agrees_with_the_listed_minimum(case):
+    group, monomial = case
+    got, want = index_of_monomial(group, monomial), _listed_least_key(group, monomial)
+    assert type(got) is BasisIndex and got == want, monomial
+    assert list(map(type, got)) == list(map(type, want)), monomial
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_enumerate_agrees_with_the_raw_label_enumeration(group):
+    for degree in range(1, 6):
+        for max_parts in range(1, 4):
+            for max_delta in range(3):
+                got = enumerate_indices(group, degree, max_parts, max_delta)
+                want = _raw_label_enumeration(group, degree, max_parts, max_delta)
+                assert got == want, (degree, max_parts, max_delta)
+                assert all(type(label) is BasisIndex for label in got)
+                types = [list(map(type, label)) for label in got]
+                assert types == [list(map(type, label)) for label in want]
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_the_identity_move_comes_first(group):
+    # index_of_monomial reads the identity key off the fields and walks the rest
+    assert _coset_moves(group)[0] == (0, False, False)
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_enumerate_canonicalizes_each_raw_label_once(group, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return index_of_monomial(*args)
+
+    monkeypatch.setattr(basis, "index_of_monomial", counted)
+    parities = 2 if group.uses_glide else 1
+    for degree in range(1, 5):
+        orders = (degree,) if group.alphabet == ALPHABET_X else range(degree + 1)
+        for max_parts in range(1, 4):
+            for max_delta in range(3):
+                raw = 0
+                for order_x in orders:
+                    deltas = 2 * max_delta + 1 if 0 < order_x < degree else 1
+                    raw += (len(list(compositions_of(order_x, max_parts)))
+                            * len(list(compositions_of(degree - order_x, max_parts)))
+                            * deltas * parities)
+                calls.clear()
+                enumerate_indices(group, degree, max_parts, max_delta)
+                assert len(calls) == raw, (degree, max_parts, max_delta)
 
 
 def test_expand_examples():

@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import importlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -450,6 +452,54 @@ def test_unknown_group_quotes_a_bounded_prefix(capsys):
     assert (code, out) == (2, "")
     *_, message = err.splitlines()  # argparse prints its usage line first
     assert len(message.encode()) < 200 and "unknown group 'qqq" in message, err[:300]
+
+
+def test_unreadable_series_path_is_quoted_by_a_bounded_prefix(tmp_path, capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "check", "--group", "F1", f"{tmp_path}/{_GARBAGE}.json")
+    _assert_short_usage_error(code, out, err)
+    assert err.startswith("error: cannot read ") and "name too long" in err, err[:300]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "check", "--group", "F1", "missing.json")
+    reason = os.strerror(errno.ENOENT)
+    assert (code, out, err) == (2, "", f"error: cannot read 'missing.json': {reason}\n")
+
+
+_ARGUMENTS = {
+    "-N": ("expand", "f1[(1)]", "-N", _GARBAGE),
+    "orbit -N": ("orbit", "--group", "F1", "x[1]", "-N", _GARBAGE),
+    "symfunc -N": ("symfunc", "e", "2", "-N", _GARBAGE),
+    "-k": ("census", "--group", "F1", "-k", _GARBAGE, "--max-parts", "2"),
+    "--max-parts": ("census", "--group", "F1", "-k", "2", "--max-parts", _GARBAGE),
+    "--max-delta": ("census", "--group", "F1", "-k", "2", "--max-parts", "2",
+                    "--max-delta", _GARBAGE),
+    "--margin": ("check", "--group", "F1", "series.json", "--margin", _GARBAGE),
+    "symfunc --margin": ("symfunc", "e", "2", "-N", "2", "--margin", _GARBAGE),
+    "r": ("symfunc", "e", _GARBAGE, "-N", "2"),
+    "kind": ("symfunc", _GARBAGE, "2", "-N", "2"),
+}
+
+
+@pytest.mark.parametrize("argv", _ARGUMENTS.values(), ids=_ARGUMENTS.keys())
+def test_malformed_argument_values_are_quoted_by_a_bounded_prefix(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "Traceback" not in err
+    # argparse prints its usage line first; only the message names the value
+    *usage, message = err.splitlines()
+    assert "qqq" not in "".join(usage) and "qqq" in message and "..." in message
+    assert all(len(line.encode()) <= 300 for line in err.splitlines()), err[:400]
+
+
+def test_short_argument_values_are_quoted_whole(capsys):
+    code, out, err = run_cli(capsys, "expand", "f1[(1)]", "-N", "abc")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "friezeinv expand: error: argument -N/--window: invalid int value: 'abc'"
+    )
+    code, out, err = run_cli(capsys, "symfunc", "x", "2", "-N", "2")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "friezeinv symfunc: error: argument kind: invalid choice: 'x' (choose from 'e', 'h')"
+    )
 
 
 def test_short_inputs_are_quoted_whole(tmp_path, capsys):
