@@ -33,6 +33,7 @@ g^2 for the glide groups) of one image per translate family, which
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .groups import FriezeGroup, GroupElement, generator, identity, shift
@@ -103,6 +104,7 @@ def _families(group: FriezeGroup, monomial: Monomial) -> list[Monomial]:
 
 def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[Monomial]:
     """All images of the monomial whose support lies entirely in [-window, window]."""
+    window = operator.index(window)
     if window < 0:
         raise ValueError("window must be non-negative")
     families = _families(group, monomial)

@@ -46,7 +46,7 @@ class BasisIndex(tuple):
         delta: int = 0, primed: bool = False,
     ) -> "BasisIndex":
         # a composition has order 0 exactly when it has no parts
-        x, y = shape_x.parts, shape_y.parts
+        x, y, delta = shape_x.parts, shape_y.parts, operator.index(delta)
         if not (x or y):
             raise ValueError("basis labels require total order >= 1")
         if group.alphabet == ALPHABET_X:
@@ -137,6 +137,7 @@ def enumerate_indices(
     order (``sort_key`` order for distinct labels of one group).  The bounds apply to the
     canonical label, so an F4, F5 or F7 orbit with a raw label inside them can
     be missing: x[1] y[1] y[3] has delta 0 but is f7[(1),(1,0,1);Δ=-2]."""
+    degree, max_parts, max_abs_delta = map(operator.index, (degree, max_parts, max_abs_delta))
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if max_parts < 1:
@@ -164,6 +165,7 @@ def expand_basis_function(index: BasisIndex, window: int) -> TruncatedSeries:
     """Orbit sum of the label's representative, truncated to the window: each distinct
     orbit member supported in [-window, window] once, with coefficient 1, whether or not
     the representative is one.  With no member in the window it is the zero series."""
+    window = operator.index(window)
     orbit = orbit_in_window(index.group, representative_monomial(index), window)
     return TruncatedSeries._trusted(
         index.group.alphabet, index.degree, window, dict.fromkeys(orbit, Fraction(1))

@@ -1,8 +1,14 @@
 """Command-line front end.
 
-Commands: canon, expand, check, census, symfunc, orbit, stab.
-Exit codes: 0 success, 1 check failed, 2 usage or parse error.
-All reports are deterministic JSON with exact rational coefficient strings.
+Commands: canon, expand, check, census, symfunc, orbit, stab; each is one
+``command`` entry in ``build_parser`` whose handler returns its report, and
+``main`` writes every report.  Every command accepts ``--json``.  Only canon
+has a text form without it (the label line, then the monomial line); the
+others always print deterministic JSON with exact rational coefficient strings.
+Exit codes: 0 success, 1 only from check when the series is not invariant,
+2 usage or parse error (a failed write to stdout included).  Integer options
+are read here by ``int``; the library reads each integer argument through
+``operator.index``.
 """
 
 from __future__ import annotations
@@ -29,10 +35,6 @@ from .structure import decomposition_census
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
 def _argument(read, message: str):
@@ -62,76 +64,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    canon = sub.add_parser("canon", help="canonical basis label of a monomial")
-    canon.add_argument("--group", type=_group, required=True)
-    canon.add_argument("monomial", help="monomial text, e.g. 'x[3] x[5]^2'")
-    canon.add_argument("--json", action="store_true")
+    def command(name: str, run, summary: str, group: bool = True) -> argparse.ArgumentParser:
+        """The subcommand ``name``, answered by ``run(args)``; ``--group`` comes first."""
+        subparser = sub.add_parser(name, help=summary)
+        subparser.set_defaults(run=run)
+        if group:
+            subparser.add_argument("--group", type=_group, required=True)
+        return subparser
 
-    expand = sub.add_parser("expand", help="truncated expansion of a basis label")
+    canon = command("canon", _canon, "canonical basis label of a monomial")
+    canon.add_argument("monomial", help="monomial text, e.g. 'x[3] x[5]^2'")
+
+    expand = command("expand", _expand, "truncated expansion of a basis label", group=False)
     expand.add_argument("label", help="basis label, e.g. 'f6[(1),(2);Δ=-3]'")
     expand.add_argument("-N", "--window", type=_int, required=True)
-    expand.add_argument("--json", action="store_true")
 
-    check = sub.add_parser("check", help="test a series file for invariance")
-    check.add_argument("--group", type=_group, required=True)
+    check = command("check", _check, "test a series file for invariance")
     check.add_argument("series", help="path to a series JSON file, or - for stdin")
     check.add_argument("--margin", type=_int, default=1)
-    check.add_argument("--json", action="store_true")
 
-    census = sub.add_parser("census", help="component census of a graded piece")
-    census.add_argument("--group", type=_group, required=True)
+    census = command("census", _census, "component census of a graded piece")
     census.add_argument("-k", "--degree", type=_int, required=True)
     census.add_argument("--max-parts", type=_int, required=True)
     census.add_argument("--max-delta", type=_int, default=0)
-    census.add_argument("--json", action="store_true")
 
-    symfunc = sub.add_parser("symfunc", help="elementary/complete symmetric functions")
+    symfunc = command("symfunc", _symfunc, "elementary/complete symmetric functions", group=False)
     symfunc.add_argument("kind", type=_kind, choices=("e", "h"))  # choices: for the help text
     symfunc.add_argument("r", type=_int)
     symfunc.add_argument("-N", "--window", type=_int, required=True)
     symfunc.add_argument("--group", type=_group, default=FriezeGroup.F1)
     symfunc.add_argument("--expand-basis", action="store_true")
     symfunc.add_argument("--margin", type=_int, default=1)
-    symfunc.add_argument("--json", action="store_true")
 
-    orbit = sub.add_parser("orbit", help="orbit of a monomial inside a window")
-    orbit.add_argument("--group", type=_group, required=True)
+    orbit = command("orbit", _orbit, "orbit of a monomial inside a window")
     orbit.add_argument("monomial")
     orbit.add_argument("-N", "--window", type=_int, required=True)
-    orbit.add_argument("--json", action="store_true")
 
-    stab = sub.add_parser("stab", help="stabilizer of a monomial")
-    stab.add_argument("--group", type=_group, required=True)
+    stab = command("stab", _stab, "stabilizer of a monomial")
     stab.add_argument("monomial")
-    stab.add_argument("--json", action="store_true")
 
+    for each in sub.choices.values():  # last, where every usage line has always shown it
+        each.add_argument("--json", action="store_true")
     return parser
 
 
-def _cmd_canon(args) -> int:
+def _canon(args) -> dict | str:
     monomial = parse_monomial(args.monomial, args.group.alphabet)
     if monomial.is_unit:
         raise ParseError("the unit monomial has no basis label")
-    index = index_of_monomial(args.group, monomial)
+    label = format_basis_label(index_of_monomial(args.group, monomial))
     if args.json:
-        _print_json(
-            {
-                "group": args.group.value,
-                "label": format_basis_label(index),
-                "monomial": format_monomial(monomial),
-            }
-        )
-    else:
-        sys.stdout.write(format_basis_label(index) + "\n")
-        sys.stdout.write(format_monomial(monomial) + "\n")
-    return EXIT_OK
+        return {"group": args.group.value, "label": label, "monomial": format_monomial(monomial)}
+    return f"{label}\n{format_monomial(monomial)}"
 
 
-def _cmd_expand(args) -> int:
+def _expand(args) -> dict:
     index = parse_basis_label(args.label)
-    series = expand_basis_function(index, args.window)
-    _print_json(series.to_json_dict())
-    return EXIT_OK
+    return expand_basis_function(index, args.window).to_json_dict()
 
 
 def _load_series(path: str) -> TruncatedSeries:
@@ -158,28 +147,23 @@ def _load_series(path: str) -> TruncatedSeries:
     return TruncatedSeries.from_json_dict(data)
 
 
-def _cmd_check(args) -> int:
+def _check(args) -> dict:
     series = _load_series(args.series)
-    ok = is_invariant(args.group, series, args.margin)
-    _print_json(
-        {
-            "group": args.group.value,
-            "degree": series.degree,
-            "window": series.window,
-            "margin": args.margin,
-            "invariant": ok,
-        }
-    )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return {
+        "group": args.group.value,
+        "degree": series.degree,
+        "window": series.window,
+        "margin": args.margin,
+        "invariant": is_invariant(args.group, series, args.margin),
+    }
 
 
-def _cmd_census(args) -> int:
+def _census(args) -> dict:
     report = decomposition_census(args.group, args.degree, args.max_parts, args.max_delta)
-    _print_json(report.to_json_dict())
-    return EXIT_OK
+    return report.to_json_dict()
 
 
-def _cmd_symfunc(args) -> int:
+def _symfunc(args) -> dict:
     build = elementary_sym if args.kind == "e" else complete_sym
     series = build(args.r, args.window)
     payload = {
@@ -195,51 +179,33 @@ def _cmd_symfunc(args) -> int:
             {"index": format_basis_label(index), "coeff": str(coeff)}
             for index, coeff in coeffs.items()
         ]
-    _print_json(payload)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_orbit(args) -> int:
+def _orbit(args) -> dict:
     monomial = parse_monomial(args.monomial, args.group.alphabet)
     orbit = orbit_in_window(args.group, monomial, args.window)
     listing = sorted(orbit, key=lambda m: m.sort_key())
-    _print_json(
-        {
-            "group": args.group.value,
-            "monomial": format_monomial(monomial),
-            "window": args.window,
-            "count": len(listing),
-            "orbit": [format_monomial(m) for m in listing],
-        }
-    )
-    return EXIT_OK
+    return {
+        "group": args.group.value,
+        "monomial": format_monomial(monomial),
+        "window": args.window,
+        "count": len(listing),
+        "orbit": [format_monomial(m) for m in listing],
+    }
 
 
-def _cmd_stab(args) -> int:
+def _stab(args) -> dict:
     monomial = parse_monomial(args.monomial, args.group.alphabet)
     if monomial.is_unit:
         raise ParseError("the unit monomial has no stabilizer description")
     elements = stabilizer(args.group, monomial)
-    _print_json(
-        {
-            "group": args.group.value,
-            "monomial": format_monomial(monomial),
-            "trivial": not elements,
-            "elements": [str(element) for element in elements],
-        }
-    )
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "canon": _cmd_canon,
-    "expand": _cmd_expand,
-    "check": _cmd_check,
-    "census": _cmd_census,
-    "symfunc": _cmd_symfunc,
-    "orbit": _cmd_orbit,
-    "stab": _cmd_stab,
-}
+    return {
+        "group": args.group.value,
+        "monomial": format_monomial(monomial),
+        "trivial": not elements,
+        "elements": [str(element) for element in elements],
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -250,11 +216,17 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        report = args.run(args)
+        # inside the try: a failed write, such as a closed pipe, is an error line too
+        if isinstance(report, str):  # canon's text form
+            sys.stdout.write(report + "\n")
+        else:
+            sys.stdout.write(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     except (ParseError, ValueError, OSError) as exc:
         kind = "parse error" if isinstance(exc, ParseError) else "error"
         sys.stderr.write(f"{kind}: {exc}\n")
         return EXIT_USAGE
+    return EXIT_CHECK_FAILED if args.command == "check" and not report["invariant"] else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ interior margin.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from collections.abc import Iterable, Mapping
@@ -60,6 +61,7 @@ class TruncatedSeries:
     ) -> None:
         if alphabet not in (ALPHABET_X, ALPHABET_XY):
             raise ValueError(f"unknown alphabet {quote(alphabet)}")
+        degree, window = operator.index(degree), operator.index(window)  # no floats or bools
         if degree < 0:
             raise ValueError("degree must be non-negative")
         if window < 0:
@@ -168,6 +170,7 @@ class TruncatedSeries:
 
     def project(self, window: int) -> "TruncatedSeries":
         """Restrict to a smaller window, dropping the monomials that escape it."""
+        window = operator.index(window)
         if window < 0:
             raise ValueError("window must be non-negative")
         if window > self.window:
@@ -362,6 +365,7 @@ def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
 
 def _invariant_interior(group: FriezeGroup, series: TruncatedSeries, margin: int) -> dict | None:
     """``is_invariant``'s one walk: the interior terms by key if invariant, else None."""
+    margin = operator.index(margin)
     if margin < 1:
         raise ValueError("margin must be at least 1")
     if margin > series.window:
@@ -404,6 +408,7 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
 def _symmetric(r: int, window: int, choose) -> TruncatedSeries:
     """Sum over the index tuples ``choose(range(-window, window + 1), r)``
     of the monomial with those indices; r = 0 gives the unit."""
+    r, window = operator.index(r), operator.index(window)
     if r < 0:
         raise ValueError("r must be non-negative")
     if window < 0:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import importlib
@@ -856,3 +857,112 @@ def test_degree_zero_series_check_at_every_margin(tmp_path, capsys):
                 )
                 assert (code, err) == (0, ""), (group, window, margin)
                 assert json.loads(out)["invariant"] is True
+
+
+_CHECK_DATA = pathlib.Path(__file__).parent / "data" / "check"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write fails as on a closed pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--group", "F1", str(_CHECK_DATA / "f1-perturbed.json")],
+        ["canon", "--group", "F1", "x[3] x[5]^2"],
+    ],
+    ids=["check-json", "canon-text"],
+)
+def test_stdout_write_error_is_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+_HELP_ROW = (
+    ["-h", "--help"], "help", False, argparse.SUPPRESS, None, "show this help message and exit"
+)
+_GROUP_ROW = (["--group"], "group", True, None, None, None)
+_JSON_ROW = (["--json"], "json", False, False, None, None)
+_MONOMIAL_ROW = ([], "monomial", True, None, None, None)
+_WINDOW_ROW = (["-N", "--window"], "window", True, None, None, None)
+_MARGIN_ROW = (["--margin"], "margin", False, 1, None, None)
+
+# each parser's actions, in order: (option_strings, dest, required, default, choices, help)
+_SURFACE = {
+    "friezeinv": [
+        _HELP_ROW,
+        ([], "command", True, None,
+         ["canon", "expand", "check", "census", "symfunc", "orbit", "stab"], None),
+    ],
+    "canon": [
+        _HELP_ROW,
+        _GROUP_ROW,
+        ([], "monomial", True, None, None, "monomial text, e.g. 'x[3] x[5]^2'"),
+        _JSON_ROW,
+    ],
+    "expand": [
+        _HELP_ROW,
+        ([], "label", True, None, None, "basis label, e.g. 'f6[(1),(2);Δ=-3]'"),
+        _WINDOW_ROW,
+        _JSON_ROW,
+    ],
+    "check": [
+        _HELP_ROW,
+        _GROUP_ROW,
+        ([], "series", True, None, None, "path to a series JSON file, or - for stdin"),
+        _MARGIN_ROW,
+        _JSON_ROW,
+    ],
+    "census": [
+        _HELP_ROW,
+        _GROUP_ROW,
+        (["-k", "--degree"], "degree", True, None, None, None),
+        (["--max-parts"], "max_parts", True, None, None, None),
+        (["--max-delta"], "max_delta", False, 0, None, None),
+        _JSON_ROW,
+    ],
+    "symfunc": [
+        _HELP_ROW,
+        ([], "kind", True, None, ["e", "h"], None),
+        ([], "r", True, None, None, None),
+        _WINDOW_ROW,
+        (["--group"], "group", False, FriezeGroup.F1, None, None),
+        (["--expand-basis"], "expand_basis", False, False, None, None),
+        _MARGIN_ROW,
+        _JSON_ROW,
+    ],
+    "orbit": [_HELP_ROW, _GROUP_ROW, _MONOMIAL_ROW, _WINDOW_ROW, _JSON_ROW],
+    "stab": [_HELP_ROW, _GROUP_ROW, _MONOMIAL_ROW, _JSON_ROW],
+}
+_SUMMARIES = [
+    ("canon", "canonical basis label of a monomial"),
+    ("expand", "truncated expansion of a basis label"),
+    ("check", "test a series file for invariance"),
+    ("census", "component census of a graded piece"),
+    ("symfunc", "elementary/complete symmetric functions"),
+    ("orbit", "orbit of a monomial inside a window"),
+    ("stab", "stabilizer of a monomial"),
+]
+
+
+def _actions(parser):
+    return [
+        (action.option_strings, action.dest, action.required, action.default,
+         None if action.choices is None else list(action.choices), action.help)
+        for action in parser._actions
+    ]
+
+
+def test_cli_surface_is_pinned():
+    # the help text differs between Python versions, so the actions behind it are pinned
+    parser = cli.build_parser()
+    (sub,) = (action for action in parser._actions if action.dest == "command")
+    surface = {"friezeinv": _actions(parser)}
+    surface.update((name, _actions(each)) for name, each in sub.choices.items())
+    assert surface == _SURFACE
+    assert [(action.dest, action.help) for action in sub._choices_actions] == _SUMMARIES

@@ -22,6 +22,7 @@ from friezeinv import (
     act_series,
     complete_sym,
     composition,
+    decomposition_census,
     elementary_sym,
     enumerate_indices,
     expand_basis_function,
@@ -73,6 +74,41 @@ def test_construction_validations():
         TruncatedSeries(ALPHABET_X, 1, 1, {normal_form_xy({0: 1}, {}): 1})
     with pytest.raises(TypeError):
         TruncatedSeries(ALPHABET_X, 1, 1, {normal_form_x({0: 1}): 0.5})
+
+
+_E2, _F1_LABEL = elementary_sym(2, 3), make_index(F1, composition(1))
+
+# one integer argument of the public API, v, and the JSON of the call's result
+_INTEGER_ARGUMENTS = {
+    "TruncatedSeries degree": lambda v: TruncatedSeries(ALPHABET_X, v, 2).to_json_dict(),
+    "TruncatedSeries window": lambda v: TruncatedSeries(ALPHABET_X, 1, v).to_json_dict(),
+    "project": lambda v: _E2.project(v).to_json_dict(),
+    "elementary_sym r": lambda v: elementary_sym(v, 2).to_json_dict(),
+    "complete_sym window": lambda v: complete_sym(2, v).to_json_dict(),
+    "orbit_in_window": lambda v: sorted(map(str, orbit_in_window(F1, normal_form_x({0: 1}), v))),
+    "expand_basis_function": lambda v: expand_basis_function(_F1_LABEL, v).to_json_dict(),
+    "is_invariant margin": lambda v: is_invariant(F1, _E2, v),
+    "expand_in_basis margin": lambda v: {
+        str(index): str(coeff) for index, coeff in expand_in_basis(F1, _E2, v).items()
+    },
+    "make_index delta": lambda v: str(make_index(F6, composition(1), composition(2), v)),
+    "enumerate_indices degree": lambda v: list(map(str, enumerate_indices(F1, v, 2))),
+    "enumerate_indices max_parts": lambda v: list(map(str, enumerate_indices(F1, 2, v))),
+    "enumerate_indices max_abs_delta": lambda v: list(map(str, enumerate_indices(F6, 2, 2, v))),
+    "decomposition_census degree": lambda v: decomposition_census(F1, v, 2).to_json_dict(),
+    "decomposition_census max_parts": lambda v: decomposition_census(F1, 2, v).to_json_dict(),
+    "decomposition_census max_abs_delta": lambda v: (
+        decomposition_census(F6, 2, 2, v).to_json_dict()
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS.keys())
+def test_integer_arguments_are_read_by_operator_index(call):
+    # a float is refused, and a bool is its integer, so no output says true or 1.5
+    with pytest.raises(TypeError):
+        call(1.5)
+    assert json.dumps(call(True)) == json.dumps(call(1))
 
 
 def test_zero_coefficients_pruned():
