@@ -264,7 +264,7 @@ def _parse_monomial(text: str, alphabet: str, factors_read: dict) -> Monomial:
                     fault = f"bad monomial factor {quote(token)}"
                 elif match[1] == "y" and alphabet == ALPHABET_X:
                     fault = "y-variables are not allowed in a one-alphabet monomial"
-                elif (exponent := read_int(match[3] or "1")) < 1:
+                elif (exponent := 1 if match[3] is None else read_int(match[3])) < 1:
                     fault = f"exponent must be positive in {quote(token)}"
                 else:
                     factor = factors_read[token] = (match[1] == "y", (read_int(match[2]), exponent))

@@ -95,10 +95,6 @@ class TruncatedSeries:
         object.__setattr__(out, "_coeffs", store)
         return out
 
-    @classmethod
-    def zero(cls, alphabet: str, degree: int, window: int) -> "TruncatedSeries":
-        return cls(alphabet, degree, window)
-
     def coefficient(self, monomial: Monomial) -> Fraction:
         return self._coeffs.get(monomial, _ZERO)
 
@@ -231,8 +227,11 @@ class TruncatedSeries:
         an exact rational string such as ``"-3/2"``; exponent notation such
         as ``"1e9"`` is rejected.  Terms that name one monomial, in any spelling,
         add (zero sums are dropped).  Each distinct coefficient and each distinct
-        factor token is read once per call, and each term is checked once, as it
-        is read; the errors are the validating constructor's, in its order.
+        factor token is read once per call.  Degree and window are checked after
+        the terms are read, once per translate family (``_some_family_fault``),
+        on every term read, also one whose sum cancels; the errors are the
+        validating constructor's, in its order, so a fault names the first faulty
+        term in the file.
         """
         if not isinstance(data, Mapping):
             raise ValueError("malformed series object: expected a JSON object")
@@ -245,7 +244,7 @@ class TruncatedSeries:
             raise ValueError(f"malformed series object: missing {exc}") from exc
         if not isinstance(raw_terms, list):
             raise ValueError("malformed series object: terms must be a list")
-        values, factors_read, store, fault = {}, {}, {}, None
+        values, factors_read, pairs = {}, {}, []
         for n, entry in enumerate(raw_terms):
             # dict first: the check against the Mapping ABC costs more than the rest of it
             if not isinstance(entry, (dict, Mapping)) or not isinstance(entry.get("monomial"), str):
@@ -275,15 +274,14 @@ class TruncatedSeries:
                         ) from None
                     raise ValueError(f"malformed term {n}: bad coefficient {quote(coeff)}") from exc
             try:
-                monomial = _parse_monomial(entry["monomial"], alphabet, factors_read)
+                pairs.append((_parse_monomial(entry["monomial"], alphabet, factors_read), value))
             except ParseError as exc:  # its message keeps the position inside the monomial
                 raise ParseError(f"malformed term {n}: {exc}") from None
-            fault = fault or _term_fault(monomial, degree, window)
-            _accumulate(((monomial, value),), store)
         cls(alphabet, degree, window)  # its checks precede a term's fault, as in the constructor
-        if fault:
-            raise ValueError(fault)
-        return cls._trusted(alphabet, degree, window, store)
+        if _some_family_fault(pairs, degree, window):
+            # every parsed monomial, cancelled or not: the first faulty term in the file
+            raise ValueError(next(filter(None, (_term_fault(m, degree, window) for m, _ in pairs))))
+        return cls._trusted(alphabet, degree, window, _accumulate(pairs))
 
 
 def _term_fault(monomial: Monomial, degree: int, window: int) -> str | None:
@@ -293,6 +291,20 @@ def _term_fault(monomial: Monomial, degree: int, window: int) -> str | None:
     if not fits_window(monomial, window):
         return f"monomial {monomial} is not supported in [-{window}, {window}]"
     return None
+
+
+def _some_family_fault(pairs: list[tuple[Monomial, Fraction]], degree: int, window: int) -> bool:
+    """Whether ``_term_fault`` finds a monomial of ``pairs`` at fault.  The members of a
+    translate family differ only in the base, so they share the degree, and all of them
+    fit the window if its least and its greatest base do."""
+    families = {}
+    for monomial, _ in pairs:
+        families.setdefault(monomial[1:], []).append(monomial[0])
+    return any(
+        sum(map(sum, rest[:2])) != degree
+        or not all(fits_window((base, *rest), window) for base in (min(bases), max(bases)))
+        for rest, bases in families.items()
+    )
 
 
 def _accumulate(

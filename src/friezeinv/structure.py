@@ -53,6 +53,10 @@ class CensusReport:
     line: int
     double: int
 
+    def __post_init__(self) -> None:  # no floats or bools
+        for name in ("degree", "max_parts", "max_abs_delta", "line", "double"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+
     @property
     def total(self) -> int:
         return self.line + self.double

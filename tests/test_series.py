@@ -114,7 +114,7 @@ def test_integer_arguments_are_read_by_operator_index(call):
 def test_zero_coefficients_pruned():
     s = TruncatedSeries(ALPHABET_X, 1, 2, [(normal_form_x({0: 1}), 1), (normal_form_x({0: 1}), -1)])
     assert s.is_zero()
-    assert s == TruncatedSeries.zero(ALPHABET_X, 1, 2)
+    assert s == TruncatedSeries(ALPHABET_X, 1, 2)
     assert TruncatedSeries(ALPHABET_X, 1, 2, {normal_form_x({0: 1}): "0/3"}).is_zero()
 
 
@@ -291,7 +291,7 @@ def tampered_orbit_sums(draw):
         label for label in enumerate_indices(group, degree, 2, 1)
         if fits_window(representative_monomial(label), window)
     ]
-    series = TruncatedSeries.zero(group.alphabet, degree, window)
+    series = TruncatedSeries(group.alphabet, degree, window)
     for label in draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)):
         series += expand_basis_function(label, window).scale(draw(st.integers(-2, 2)))
     terms = series.terms()
@@ -752,6 +752,67 @@ def _document(*monomials, degree=2, window=2, alphabet="X"):
 def test_loader_agrees_with_the_per_term_path(document):
     loaded = _load_outcome(TruncatedSeries.from_json_dict, document)
     assert loaded == _load_outcome(_per_term_from_json, document)
+
+
+@st.composite
+def family_documents(draw):
+    """Series documents of degree 2 whose terms come in translate families: a
+    few shapes, each at several bases on a window of 2 to 6, now and then with
+    one base past either end of the window, a whole family of degree 3, a term
+    cancelled by a respelled twin (out of the window too) or a bad token, and
+    all the terms in any order."""
+    alphabet = draw(st.sampled_from(["X", "XY"]))
+    window = draw(st.integers(2, 6))
+    letters = st.sampled_from("xy" if alphabet == "XY" else "x")
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.sampled_from([2] * 9 + [3]))
+        offset = st.tuples(letters, st.integers(1, 3))
+        offsets = draw(st.lists(offset, min_size=size, max_size=size))
+        # a member with base b has the variables b + offset, in [-window, window] for b in bases
+        least, greatest = -window - min(o for _, o in offsets), window - max(o for _, o in offsets)
+        bases = draw(st.lists(st.integers(least, greatest), min_size=1, max_size=5, unique=True))
+        past = [[least - 1], [greatest + 1], [least - 1, greatest + 1]]
+        bases += draw(st.sampled_from([[]] * 6 + past))
+        for base in bases:
+            variables = [f"{letter}[{base + offset}]" for letter, offset in offsets]
+            coeff = draw(st.sampled_from([1, -2, "1/2", "-3/4"]))
+            terms.append({"monomial": draw(_spelling(variables)), "coeff": coeff})
+            if draw(st.sampled_from([False] * 3 + [True])):  # a twin that cancels it
+                twin = str(-Fraction(coeff)) if isinstance(coeff, str) else -coeff
+                terms.append({"monomial": draw(_spelling(variables)), "coeff": twin})
+    return {"alphabet": alphabet, "degree": 2, "window": window,
+            "terms": draw(st.permutations(terms))}
+
+
+# the family of x[-1] x[0] comes first in the file, the first faulty term is x[-3]^2's
+_FIRST_FAULTY_TERM_NOT_FAMILY = _document("x[-1] x[0]", "x[-3]^2", "x[2] x[3]", "x[0]^2")
+_PARSE_ERROR_AFTER_A_DEGREE_FAULT = _document("x[-1] x[0]", "x[0] x[1]^2", "x[1] x[2", "x[-1]^2")
+_CANCELLED_OUT_OF_WINDOW = dict(_document(), terms=[
+    {"monomial": "x[0] x[1]", "coeff": 1}, {"monomial": "x[2] x[3]", "coeff": "1/2"},
+    {"monomial": "x[3] x[2]", "coeff": "-1/2"},
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_documents())
+@example(_FIRST_FAULTY_TERM_NOT_FAMILY)
+@example(_PARSE_ERROR_AFTER_A_DEGREE_FAULT)
+@example(_CANCELLED_OUT_OF_WINDOW)
+def test_loader_agrees_with_the_per_term_path_on_translate_families(document):
+    loaded = _load_outcome(TruncatedSeries.from_json_dict, document)
+    assert loaded == _load_outcome(_per_term_from_json, document)
+
+
+@pytest.mark.parametrize("document, message", [
+    (_FIRST_FAULTY_TERM_NOT_FAMILY, "monomial x[-3]^2 is not supported in [-2, 2]"),
+    (_PARSE_ERROR_AFTER_A_DEGREE_FAULT, "malformed term 2: at position 5: bad monomial factor 'x[2'"),
+    (_CANCELLED_OUT_OF_WINDOW, "monomial x[2] x[3] is not supported in [-2, 2]"),
+], ids=["first-faulty-term", "parse-error-wins", "cancelled-pair"])
+def test_loader_reports_the_first_faulty_term_in_the_file(document, message):
+    with pytest.raises(ValueError) as info:
+        TruncatedSeries.from_json_dict(document)
+    assert str(info.value) == message
 
 
 def test_loader_keeps_no_factor_between_calls():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from friezeinv import (
+    CensusReport,
     ComponentType,
     FriezeGroup,
     MonomialXY,
@@ -139,6 +141,17 @@ def test_census_json_shape():
         "LINE": 0,
         "DOUBLE": payload["DOUBLE"],
     }
+
+
+@pytest.mark.parametrize("field", ["degree", "max_parts", "max_abs_delta", "line", "double"])
+def test_census_report_reads_its_integers_by_operator_index(field):
+    fields = {"group": F1, "degree": 3, "max_parts": 2, "max_abs_delta": 0, "line": 1, "double": 0}
+    with pytest.raises(TypeError):
+        CensusReport(**dict(fields, **{field: 1.5}))
+    report = CensusReport(**dict(fields, **{field: True}))
+    assert type(getattr(report, field)) is int
+    one = CensusReport(**dict(fields, **{field: 1}))
+    assert json.dumps(report.to_json_dict()) == json.dumps(one.to_json_dict())
 
 
 def test_embed_examples():

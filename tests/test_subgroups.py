@@ -98,7 +98,7 @@ def test_orbit_sum_splits_into_the_subgroup_orbit_sums(inclusion, window, data):
     monomial = data.draw(monomials(group.alphabet))
     labels = {index_of_monomial(sub, monomial), index_of_monomial(sub, act(coset_rep, monomial))}
     # (i): disjoint when the labels differ, so every coefficient stays 1
-    total = TruncatedSeries.zero(group.alphabet, monomial.degree, window)
+    total = TruncatedSeries(group.alphabet, monomial.degree, window)
     for label in labels:
         total += _orbit_sum(sub, representative_monomial(label), window)
     assert total == _orbit_sum(group, monomial, window)
@@ -116,7 +116,7 @@ def test_invariant_series_are_subgroup_invariant(inclusion, window, degree, data
         if fits_window(representative_monomial(label), window)
     ]
     chosen = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
-    series = TruncatedSeries.zero(group.alphabet, degree, window)
+    series = TruncatedSeries(group.alphabet, degree, window)
     for label in chosen:
         weight = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
         series += expand_basis_function(label, window).scale(weight)
