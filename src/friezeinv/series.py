@@ -15,7 +15,7 @@ import re
 import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, repeat
 from typing import Union
 
 from .actions import _moves
@@ -27,6 +27,7 @@ from .monomials import (
     Monomial,
     MonomialX,
     MonomialXY,
+    UNIT_X,
     _block,
     _fields,
     _image,
@@ -61,7 +62,8 @@ class TruncatedSeries:
     ) -> None:
         if alphabet not in (ALPHABET_X, ALPHABET_XY):
             raise ValueError(f"unknown alphabet {quote(alphabet)}")
-        degree, window = operator.index(degree), operator.index(window)  # no floats or bools
+        # ints only: a float is refused, and a bool reads as 0 or 1
+        degree, window = operator.index(degree), operator.index(window)
         if degree < 0:
             raise ValueError("degree must be non-negative")
         if window < 0:
@@ -157,7 +159,9 @@ class TruncatedSeries:
                     product = _merge(ma, mb)
                     moved = by_shape[shape, bb - ba] = product[0] - ba, product[1:]
                 monomial = tuple.__new__(cls, (ba + moved[0],) + moved[1])
-                value = by_coeff.get(key) or by_coeff.setdefault(key, ca * cb)
+                value = by_coeff.get(key)
+                if value is None:  # not by truth: a Fraction's truth test runs in Python
+                    value = by_coeff[key] = ca * cb
                 out[monomial] = out[monomial] + value if monomial in out else value
         out = {monomial: value for monomial, value in out.items() if value}  # drop cancelled sums
         return TruncatedSeries._trusted(
@@ -165,13 +169,29 @@ class TruncatedSeries:
         )
 
     def project(self, window: int) -> "TruncatedSeries":
-        """Restrict to a smaller window, dropping the monomials that escape it."""
+        """Restrict to a smaller window, dropping the monomials that escape it.
+
+        A monomial's support is its support at base 0 moved by its base, so the
+        bases that fit the window form one range per translate family
+        (``monomial[1:]``), read once from ``_support``.  The unit has no support
+        and base 0."""
         window = operator.index(window)
         if window < 0:
             raise ValueError("window must be non-negative")
         if window > self.window:
             raise ValueError(f"cannot project from window {self.window} up to {window}")
-        kept = {m: coeff for m, coeff in self._coeffs.items() if fits_window(m, window)}
+        allowed, kept = {}, {}
+        for monomial, coeff in self._coeffs.items():
+            key = monomial[1:]
+            bases = allowed.get(key)
+            if bases is None:
+                support = _support(0, *key)
+                bases = allowed[key] = (
+                    range(1) if support is None
+                    else range(-window - support[0], window - support[1] + 1)
+                )
+            if monomial[0] in bases:
+                kept[monomial] = coeff
         return TruncatedSeries._trusted(self.alphabet, self.degree, window, kept)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -417,26 +437,37 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
     return _invariant_interior(group, series, margin) is not None
 
 
-def _symmetric(r: int, window: int, choose) -> TruncatedSeries:
-    """Sum over the index tuples ``choose(range(-window, window + 1), r)``
-    of the monomial with those indices; r = 0 gives the unit."""
+def _symmetric(r: int, window: int, choose, start: int) -> TruncatedSeries:
+    """Sum over the index tuples ``choose(range(-window, window + 1), r)`` of the
+    monomial with those indices; r = 0 gives the unit.  The tuples that differ by
+    a shift form one translate family, so only those whose least index is 0 are
+    enumerated, ``(0, *choose(range(start, 2 * window + 1), r - 1))``, each giving
+    one shape, and the shape is emitted at every base that keeps it in the window."""
     r, window = operator.index(r), operator.index(window)
     if r < 0:
         raise ValueError("r must be non-negative")
     if window < 0:
         raise ValueError("window must be non-negative")
-    monomials = (
-        tuple.__new__(MonomialX, _block([(i, 1) for i in indices]))
-        for indices in choose(range(-window, window + 1), r)
+    if r == 0:
+        return TruncatedSeries._trusted(ALPHABET_X, 0, window, {UNIT_X: Fraction(1)})
+    bases = range(-window - 1, window + 1)  # a shape of m parts takes all but the last m
+    shapes = (
+        _block([(0, 1), *((i, 1) for i in indices)])[1]
+        for indices in choose(range(start, 2 * window + 1), r - 1)
     )
-    return TruncatedSeries._trusted(ALPHABET_X, r, window, dict.fromkeys(monomials, Fraction(1)))
+    families = (
+        map(tuple.__new__, repeat(MonomialX), zip(bases[: -len(parts)], repeat(parts)))
+        for parts in shapes
+    )
+    store = dict.fromkeys(chain.from_iterable(families), Fraction(1))
+    return TruncatedSeries._trusted(ALPHABET_X, r, window, store)
 
 
 def elementary_sym(r: int, window: int) -> TruncatedSeries:
     """Sum of all products of r distinct variables inside the window."""
-    return _symmetric(r, window, combinations)
+    return _symmetric(r, window, combinations, 1)
 
 
 def complete_sym(r: int, window: int) -> TruncatedSeries:
     """Sum of all monomials of total degree r inside the window."""
-    return _symmetric(r, window, combinations_with_replacement)
+    return _symmetric(r, window, combinations_with_replacement, 0)

@@ -53,7 +53,7 @@ class CensusReport:
     line: int
     double: int
 
-    def __post_init__(self) -> None:  # no floats or bools
+    def __post_init__(self) -> None:  # ints only: no float, and a bool reads as 0 or 1
         for name in ("degree", "max_parts", "max_abs_delta", "line", "double"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
 

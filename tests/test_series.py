@@ -1,7 +1,10 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -174,6 +177,7 @@ def test_project_examples():
     s = x_series(3, 2, 3)
     assert s.project(2) == x_series(2, 2)
     assert s.project(3) == s
+    assert complete_sym(0, 3).project(2) == complete_sym(0, 2)
     with pytest.raises(ValueError):
         s.project(-1)
     with pytest.raises(ValueError):
@@ -558,12 +562,35 @@ def test_complete_examples():
 @pytest.mark.parametrize("build", [elementary_sym, complete_sym])
 def test_symmetric_function_edge_cases(build):
     assert build(0, 3) == TruncatedSeries(ALPHABET_X, 0, 3, {UNIT_X: 1})
+    assert build(True, 2) == build(1, 2)  # operator.index reads a bool as 0 or 1
     with pytest.raises(ValueError):
         build(-1, 2)
     with pytest.raises(ValueError):
         build(2, -1)
     with pytest.raises(ValueError):
         build(0, -1)
+
+
+@pytest.mark.parametrize(
+    "build, choose, count",
+    [
+        (elementary_sym, combinations, lambda r, window: comb(2 * window + 1, r)),
+        (complete_sym, combinations_with_replacement, lambda r, window: comb(2 * window + r, r)),
+    ],
+    ids=["e", "h"],
+)
+def test_symmetric_functions_agree_with_the_per_index_tuple_definition(build, choose, count):
+    # the reference: one monomial per index tuple in the window, each through normal_form_x
+    for r in range(6):
+        for window in range(8):
+            tuples = choose(range(-window, window + 1), r)
+            want = TruncatedSeries(
+                ALPHABET_X, r, window, dict.fromkeys(map(normal_form_x, map(Counter, tuples)), 1)
+            )
+            got = build(r, window)
+            assert got == want
+            assert got.to_json_dict() == want.to_json_dict()
+            assert got.num_terms == count(r, window)
 
 
 def test_symmetric_functions_are_invariant():
@@ -892,6 +919,40 @@ def test_multiply_agrees_with_the_pairwise_product(data):
         margin = data.draw(st.integers(1, window))
         fresh = _outcome(is_invariant, group, _fresh(product), margin)
         assert _outcome(is_invariant, group, product, margin) is fresh
+
+
+def _per_term_projection(series, window):
+    """The reference ``project``: each term kept or dropped by ``fits_window``."""
+    return {m: coeff for m, coeff in series._coeffs.items() if fits_window(m, window)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_project_agrees_with_the_per_term_filter(data):
+    group = data.draw(st.sampled_from(list(FriezeGroup)))
+    window = data.draw(st.integers(0, 4))
+    series = data.draw(group_series(group, data.draw(st.integers(0, 3)), window))
+    for inner in range(window + 1):
+        projected = series.project(inner)
+        assert projected._coeffs == _per_term_projection(series, inner)
+        assert (projected.degree, projected.window) == (series.degree, inner)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        complete_sym(0, 3),
+        TruncatedSeries(ALPHABET_XY, 0, 3, {UNIT_XY: 2}),
+        complete_sym(3, 4),
+        elementary_sym(2, 5) + elementary_sym(2, 5).scale(-1),
+        expand_basis_function(make_index(F6, composition(1), composition(2), -1), 5),
+        expand_basis_function(make_index(F4, composition(2), composition(), 0), 5),
+    ],
+    ids=["unit X", "unit XY", "h3", "zero", "F6 orbit sum", "pure-x F4 orbit sum"],
+)
+def test_project_examples_against_the_per_term_filter(series):
+    for inner in range(series.window + 1):
+        assert series.project(inner)._coeffs == _per_term_projection(series, inner)
 
 
 @pytest.mark.parametrize("alphabet", [ALPHABET_X, ALPHABET_XY])
