@@ -27,8 +27,10 @@ delta) fields a monomial is made of (a one-alphabet monomial is an x block
 with an empty y block, and its image keeps only the x block).  The image of
 a normal form is a normal form, so images and their translates are built
 with a plain ``tuple.__new__``.  An orbit is the set of translates (by t, or by
-g^2 for the glide groups) of one image per translate family, which
-``_families`` picks from the images under the translation-coset representatives.
+g^2 for the glide groups) of one image per translate family.  ``_coset_walk``
+reads the family key and base of the image under each translation-coset
+representative; ``_families`` and ``stabilizer`` read that one walk, and
+``monomials._bases_in`` gives the bases of a family inside a window.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import operator
 from functools import lru_cache
 
 from .groups import FriezeGroup, GroupElement, generator, identity, shift
-from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image
+from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _bases_in, _fields, _image
 
 
 def _moves(element: GroupElement) -> tuple[int, bool, bool]:
@@ -83,23 +85,26 @@ def _family_key(monomial: Monomial, glide: bool) -> tuple:
     return (glide and monomial[0] % 2, *monomial[1:])
 
 
-def _coset_images(group: FriezeGroup, monomial: Monomial) -> list[Monomial]:
-    """The images of the monomial under the translation-coset representatives."""
+def _coset_walk(group: FriezeGroup, monomial: Monomial) -> list[tuple[tuple, int]]:
+    """The (``_family_key``, base) of the monomial's image under each translation-coset
+    representative, in coset-table order, so the first is the monomial's own."""
     cls = MonomialX if group.alphabet == ALPHABET_X else MonomialXY
     if not isinstance(monomial, cls):
         raise TypeError(f"{group} acts on {cls.__name__} monomials")
-    fields, size = _fields(monomial), len(monomial)
-    return [tuple.__new__(cls, _image(*fields, *move)[:size]) for move in _coset_moves(group)]
+    fields, size, glide = _fields(monomial), len(monomial), group.uses_glide
+    images = (_image(*fields, *move)[:size] for move in _coset_moves(group))
+    return [(_family_key(image, glide), image[0]) for image in images]
 
 
 def _families(group: FriezeGroup, monomial: Monomial) -> list[Monomial]:
     """One image per translate family of the monomial's orbit, in coset-table
     order, so the first is the monomial itself.  Coset images with one
-    ``_family_key`` are translates of each other, and only the first is kept."""
-    families: dict[tuple, Monomial] = {}
-    for image in _coset_images(group, monomial):
-        families.setdefault(_family_key(image, group.uses_glide), image)
-    return list(families.values())
+    ``_family_key`` are translates of each other, so the walk's first base per
+    key is kept, and only those images are built."""
+    bases: dict[tuple, int] = {}
+    for key, base in _coset_walk(group, monomial):
+        bases.setdefault(key, base)
+    return [tuple.__new__(type(monomial), (base, *key[1:])) for key, base in bases.items()]
 
 
 def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[Monomial]:
@@ -107,18 +112,14 @@ def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[
     window = operator.index(window)
     if window < 0:
         raise ValueError("window must be non-negative")
-    families = _families(group, monomial)
-    if monomial.is_unit:
-        return {monomial}
     step, new, cls = (2 if group.uses_glide else 1), tuple.__new__, type(monomial)
     out: set[Monomial] = set()
-    for image in families:
+    for image in _families(group, monomial):
         base, rest = image[0], image[1:]
-        lo, hi = image.support()
-        # translating by z moves the support to [lo+z, hi+z]; z is a multiple of step
-        first = -window - lo
-        first += first % step
-        out.update(new(cls, (base + z,) + rest) for z in range(first, window - hi + 1, step))
+        fit = _bases_in(rest, window)
+        # the least base in the range that a translation (a multiple of step) reaches
+        start = fit.start + (base - fit.start) % step
+        out.update(new(cls, (b,) + rest) for b in range(start, fit.stop, step))
     return out
 
 
@@ -134,11 +135,7 @@ def stabilizer(group: FriezeGroup, monomial: Monomial) -> tuple[GroupElement, ..
     """
     if monomial.is_unit:
         raise ValueError("stabilizer is only defined for nonunit monomials")
-    key = _family_key(monomial, group.uses_glide)
-    cosets = zip(translation_coset_representatives(group)[1:], _coset_images(group, monomial)[1:])
-    found = [
-        shift(group, monomial[0] - image[0]) * rep
-        for rep, image in cosets
-        if _family_key(image, group.uses_glide) == key
-    ]
+    (key, base), *walk = _coset_walk(group, monomial)
+    reps = translation_coset_representatives(group)[1:]
+    found = [shift(group, base - b) * rep for rep, (k, b) in zip(reps, walk) if k == key]
     return tuple(sorted(found, key=GroupElement.sort_key))

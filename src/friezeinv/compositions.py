@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .errors import ParseError, quote, read_int
@@ -81,29 +82,23 @@ def compositions_of(order: int, max_parts: int) -> Iterator[Composition]:
     """All compositions of the given order with at most ``max_parts`` parts.
 
     Yielded in deterministic order: by number of parts, then lexicographically.
-    Order 0 yields only the empty composition.
+    Order 0 yields only the empty composition.  By stars and bars, a composition
+    of m >= 2 parts is fixed by its sums of the first 1, ..., m - 1 parts: m - 1
+    numbers from 1 to order - 1 in non-decreasing order, since the first and last
+    parts are positive.  Those choices, in lexicographic order, give the
+    compositions in lexicographic order, with no recursion.
     """
+    order, max_parts = operator.index(order), operator.index(max_parts)
     if order < 0:
         raise ValueError("order must be non-negative")
     if order == 0:
         yield EMPTY
         return
-    for num in range(1, max_parts + 1):
-        yield from _compositions_with_parts(order, num)
-
-
-def _compositions_with_parts(order: int, num: int) -> Iterator[Composition]:
-    def rec(prefix: list[int], remaining: int, slots: int) -> Iterator[Composition]:
-        if slots == 1:
-            if remaining > 0:
-                yield _unchecked(tuple(prefix + [remaining]))  # first >= 1, last > 0
-            return
-        # interior entries may be zero; the first entry must be positive
-        lo = 1 if not prefix else 0
-        for value in range(lo, remaining + 1):
-            yield from rec(prefix + [value], remaining - value, slots - 1)
-
-    yield from rec([], order, num)
+    if max_parts >= 1:
+        yield _unchecked((order,))
+    for num in range(2, max_parts + 1 if order > 1 else 2):  # order 1 has one part
+        for sums in combinations_with_replacement(range(1, order), num - 1):
+            yield _unchecked(tuple(map(operator.sub, (*sums, order), (0, *sums))))
 
 
 def parse_composition(text: str, offset: int = 0) -> Composition:

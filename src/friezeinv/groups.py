@@ -115,6 +115,7 @@ class GroupElement:
         return replace(self, power=-self.power)
 
     def __pow__(self, exponent: int) -> "GroupElement":
+        exponent = operator.index(exponent)  # no float or Fraction exponents
         odd = exponent % 2 == 1
         if self.reverses_shift:
             # an involution

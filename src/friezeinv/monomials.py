@@ -136,10 +136,17 @@ UNIT_X = MonomialX(0, EMPTY)
 UNIT_XY = MonomialXY(0, EMPTY, EMPTY, 0)
 
 
+def _bases_in(rest: tuple, window: int) -> range:
+    """The bases at which the fields ``rest`` (all of a monomial's but its base) lie in
+    [-window, window]: a support is the support at base 0 moved by the base.  The unit
+    has no support and base 0."""
+    support = _support(0, *rest)
+    return range(1) if support is None else range(-window - support[0], window - support[1] + 1)
+
+
 def fits_window(monomial: Monomial, window: int) -> bool:
     """True when the monomial is the unit or its support lies in [-window, window]."""
-    sup = _support(*monomial)
-    return sup is None or (-window <= sup[0] and sup[1] <= window)
+    return monomial[0] in _bases_in(monomial[1:], window)
 
 
 def _clean_exponents(mapping: Mapping[int, int]) -> list[tuple[int, int]]:

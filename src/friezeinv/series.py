@@ -28,12 +28,12 @@ from .monomials import (
     MonomialX,
     MonomialXY,
     UNIT_X,
+    _bases_in,
     _block,
     _fields,
     _image,
     _parse_monomial,
     _sum_blocks,
-    _support,
     fits_window,
 )
 
@@ -171,10 +171,8 @@ class TruncatedSeries:
     def project(self, window: int) -> "TruncatedSeries":
         """Restrict to a smaller window, dropping the monomials that escape it.
 
-        A monomial's support is its support at base 0 moved by its base, so the
-        bases that fit the window form one range per translate family
-        (``monomial[1:]``), read once from ``_support``.  The unit has no support
-        and base 0."""
+        The bases that fit the window form one range per translate family
+        (``monomial[1:]``), read once from ``_bases_in``."""
         window = operator.index(window)
         if window < 0:
             raise ValueError("window must be non-negative")
@@ -185,11 +183,7 @@ class TruncatedSeries:
             key = monomial[1:]
             bases = allowed.get(key)
             if bases is None:
-                support = _support(0, *key)
-                bases = allowed[key] = (
-                    range(1) if support is None
-                    else range(-window - support[0], window - support[1] + 1)
-                )
+                bases = allowed[key] = _bases_in(key, window)
             if monomial[0] in bases:
                 kept[monomial] = coeff
         return TruncatedSeries._trusted(self.alphabet, self.degree, window, kept)
@@ -322,7 +316,7 @@ def _some_family_fault(pairs: list[tuple[Monomial, Fraction]], degree: int, wind
         families.setdefault(monomial[1:], []).append(monomial[0])
     return any(
         sum(map(sum, rest[:2])) != degree
-        or not all(fits_window((base, *rest), window) for base in (min(bases), max(bases)))
+        or not (min(bases) in (fit := _bases_in(rest, window)) and max(bases) in fit)
         for rest, bases in families.items()
     )
 
@@ -364,17 +358,18 @@ def _family_images(series: TruncatedSeries, moves: Iterable, bound: int):
     """Yield, per ``_moves`` triple, the images in [-bound, bound] of the terms of a series
     of positive degree, as {fields without the base: {base: coeff}}.  ``_image`` is affine in
     the base, so it runs once per key and move, at the first base b0: b of either parity goes to
-    b0' ± (b - b0), minus after a reflection.  [lo, hi] lands in the bound if [lo+z, hi+z] does."""
+    b0' ± (b - b0), minus after a reflection.  The image of base b lies in the bound if b + z
+    is in the family's ``_bases_in`` range."""
     families = {}
     for monomial, coeff in series._coeffs.items():
         families.setdefault(monomial[1:], {})[monomial[0]] = coeff
+    fits = {rest: _bases_in(rest, bound) for rest in families}
     for z, reflect, swap in moves:
         sign, out = -1 if reflect else 1, {}
         for rest, members in families.items():
-            b0 = next(iter(members))
-            lo, hi = _support(b0, *rest)
+            b0, fit = next(iter(members)), fits[rest]
             image = _image(*_fields((b0, *rest)), z, reflect, swap)
-            first, last, offset = b0 - lo - z - bound, b0 - hi - z + bound, image[0] - sign * b0
+            first, last, offset = fit.start - z, fit.stop - 1 - z, image[0] - sign * b0
             kept = {offset + sign * b: coeff for b, coeff in members.items() if first <= b <= last}
             if kept:
                 out[image[1 : len(rest) + 1]] = kept

@@ -184,6 +184,13 @@ def test_census_f6_odd_degree(capsys):
     assert payload["DOUBLE"] > 0
 
 
+def test_census_with_many_parts(capsys):
+    # shapes of up to 2000 parts: the enumeration must not recurse once per part
+    code, out, _ = run_cli(capsys, "census", "--group", "F1", "-k", "1", "--max-parts", "2000")
+    assert code == 0
+    assert json.loads(out)["LINE"] == 1
+
+
 def test_census_negative_max_delta_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "census", "--group", "F6", "-k", "2", "--max-parts", "1", "--max-delta", "-3"

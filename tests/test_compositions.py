@@ -92,6 +92,22 @@ def test_counts_match_stars_and_bars(order, num_parts):
 
 def test_order_one_forces_single_part():
     assert list(compositions_of(1, 5)) == [composition(1)]
+    assert list(compositions_of(1, 5000)) == [composition(1)]
+
+
+def test_many_parts_need_no_recursion():
+    # thousands of parts: the enumeration must not recurse once per part
+    listed = list(compositions_of(2, 2000))
+    assert len(listed) == 2000
+    assert listed[-1] == Composition((1, *[0] * 1998, 1))
+
+
+def test_order_and_max_parts_must_be_integers():
+    for order, max_parts in [(2.5, 1), (2, 1.0)]:
+        with pytest.raises(TypeError):
+            list(compositions_of(order, max_parts))
+    (only,) = compositions_of(True, 2)
+    assert only.parts == (1,) and type(only.parts[0]) is int
 
 
 def test_order_zero_is_only_empty():

@@ -78,6 +78,11 @@ def test_power_must_be_an_integer():
         act(GroupElement(F1, power=1.5), normal_form_x({1: 1}))
     power = GroupElement(F1, power=True).power
     assert power == 1 and type(power) is int
+    # an involution and a shift, each raised to a float or a Fraction
+    for element in (generator(F3, "v"), generator(F3, "t")):
+        for exponent in (1.5, 3.0, Fraction(3), Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                element**exponent
 
 
 def test_multiplication_examples():

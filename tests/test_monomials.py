@@ -22,7 +22,7 @@ from friezeinv import (
     parse_monomial,
 )
 from friezeinv.errors import ParseError
-from friezeinv.monomials import fits_window
+from friezeinv.monomials import _bases_in, _support, fits_window
 
 exponent_maps = st.dictionaries(st.integers(-6, 6), st.integers(1, 4), max_size=5)
 
@@ -45,6 +45,25 @@ def test_fits_window_examples():
     assert fits_window(m, 3) and not fits_window(m, 2)
     assert fits_window(normal_form_x({0: 2}), 0)
     assert fits_window(UNIT_X, 0) and fits_window(UNIT_XY, 0)
+
+
+# the fields after the base: one alphabet, two alphabets with offsets of either sign, the units
+_RESTS = [
+    ((),), ((1,),), ((2, 0, 1),),
+    ((), (), 0), ((1,), (), 0), ((), (1, 1), 0),
+    ((1,), (2,), 0), ((1, 1), (1,), -2), ((1,), (1, 0, 1), 1), ((3,), (1,), 3), ((1, 2), (1,), -1),
+]
+
+
+@pytest.mark.parametrize("window", range(5))
+@pytest.mark.parametrize("rest", _RESTS, ids=str)
+def test_bases_in_matches_the_support_oracle(rest, window):
+    # base b fits exactly when its support lies in [-window, window]; the unit has base 0
+    def fits(base):
+        sup = _support(base, *rest)
+        return base == 0 if sup is None else -window <= sup[0] and sup[1] <= window
+
+    assert list(_bases_in(rest, window)) == [b for b in range(-12, 13) if fits(b)]
 
 
 def test_normal_form_xy_examples():
