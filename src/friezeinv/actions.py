@@ -35,9 +35,9 @@ representative; ``_families`` and ``stabilizer`` read that one walk, and
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
+from .errors import at_least
 from .groups import FriezeGroup, GroupElement, generator, identity, shift
 from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _bases_in, _fields, _image
 
@@ -109,9 +109,7 @@ def _families(group: FriezeGroup, monomial: Monomial) -> list[Monomial]:
 
 def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[Monomial]:
     """All images of the monomial whose support lies entirely in [-window, window]."""
-    window = operator.index(window)
-    if window < 0:
-        raise ValueError("window must be non-negative")
+    window = at_least(window, 0, "window")
     step, new, cls = (2 if group.uses_glide else 1), tuple.__new__, type(monomial)
     out: set[Monomial] = set()
     for image in _families(group, monomial):

@@ -22,7 +22,7 @@ from itertools import islice, product
 
 from .actions import _coset_moves, orbit_in_window
 from .compositions import EMPTY, Composition, _unchecked, compositions_of, parse_composition
-from .errors import ParseError, quote, read_int
+from .errors import ParseError, as_flag, at_least, quote, read_int
 from .groups import FriezeGroup
 from .monomials import ALPHABET_X, Monomial, MonomialX, MonomialXY, _fields, _image, fits_window
 from .series import TruncatedSeries, _invariant_interior
@@ -54,6 +54,7 @@ class BasisIndex(tuple):
                 raise ValueError(f"{group} labels carry a single shape")
         elif not (x and y) and delta != 0:
             raise ValueError("delta must be 0 when either shape has order 0")
+        primed = as_flag(primed, "primed")
         if primed and not group.uses_glide:
             raise ValueError(f"{group} labels have no parity class")
         return tuple.__new__(cls, (primed, x, y, delta, group))
@@ -137,13 +138,8 @@ def enumerate_indices(
     order (``sort_key`` order for distinct labels of one group).  The bounds apply to the
     canonical label, so an F4, F5 or F7 orbit with a raw label inside them can
     be missing: x[1] y[1] y[3] has delta 0 but is f7[(1),(1,0,1);Δ=-2]."""
-    degree, max_parts, max_abs_delta = map(operator.index, (degree, max_parts, max_abs_delta))
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if max_parts < 1:
-        raise ValueError("max_parts must be at least 1")
-    if max_abs_delta < 0:
-        raise ValueError("max_abs_delta must be non-negative")
+    degree, max_parts = at_least(degree, 1, "degree"), at_least(max_parts, 1, "max_parts")
+    max_abs_delta = at_least(max_abs_delta, 0, "max_abs_delta")
     # one alphabet is the case order_x == degree: empty y shape, no offset
     orders = range(degree + 1) if group.alphabet != ALPHABET_X else (degree,)
     parities = ((False, 0), (True, -1)) if group.uses_glide else ((False, 0),)

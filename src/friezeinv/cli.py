@@ -7,8 +7,8 @@ has a text form without it (the label line, then the monomial line); the
 others always print deterministic JSON with exact rational coefficient strings.
 Exit codes: 0 success, 1 only from check when the series is not invariant,
 2 usage or parse error (a failed write to stdout included).  Integer options
-are read here by ``int``; the library reads each integer argument through
-``operator.index``.
+are read here by ``int``; the library reads each integer argument once, a
+bounded one through ``errors.at_least``.
 """
 
 from __future__ import annotations

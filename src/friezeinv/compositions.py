@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .errors import ParseError, quote, read_int
+from .errors import ParseError, at_least, quote, read_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,9 +88,7 @@ def compositions_of(order: int, max_parts: int) -> Iterator[Composition]:
     parts are positive.  Those choices, in lexicographic order, give the
     compositions in lexicographic order, with no recursion.
     """
-    order, max_parts = operator.index(order), operator.index(max_parts)
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    order, max_parts = at_least(order, 0, "order"), operator.index(max_parts)
     if order == 0:
         yield EMPTY
         return

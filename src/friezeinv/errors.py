@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class ParseError(ValueError):
     """Raised when a text form (monomial, word, label, ...) cannot be parsed.
@@ -30,3 +32,20 @@ def read_int(text: str, position: int | None = None) -> int:
     except ValueError:
         digits = len(text.lstrip("-"))
         raise ParseError(f"an integer of {digits} digits is too long to read", position) from None
+
+
+def at_least(value: object, least: int, name: str) -> int:
+    """The integer argument ``name``, read once: ``operator.index`` (a float is a
+    TypeError, a bool its int), then a ValueError below ``least``."""
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be {f'at least {least}' if least else 'non-negative'}")
+    return value
+
+
+def as_flag(value: object, name: str) -> bool:
+    """The flag ``name`` as a bool: ``operator.index``, then 0 or 1 only."""
+    value = operator.index(value)
+    if value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1")
+    return value == 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
-from .errors import ParseError, quote, read_int
+from .errors import ParseError, as_flag, quote, read_int
 from .monomials import ALPHABET_X, ALPHABET_XY
 
 
@@ -76,10 +76,11 @@ class GroupElement:
     power: int = 0
 
     def __post_init__(self) -> None:
-        allowed = self.group.flag_letters
-        for letter, value in (("v", self.v), ("h", self.h), ("r", self.r)):
-            if value and letter not in allowed:
+        for letter in "vhr":  # each flag stored as a bool: v=2 would not square to 1
+            value = as_flag(getattr(self, letter), letter)
+            if value and letter not in self.group.flag_letters:
                 raise ValueError(f"{self.group} has no generator {letter!r}")
+            object.__setattr__(self, letter, value)
         object.__setattr__(self, "power", operator.index(self.power))  # no float shifts
 
     def __reduce__(self) -> tuple:  # the checked constructor, for copy and pickle

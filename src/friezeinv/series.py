@@ -10,7 +10,6 @@ interior margin.
 
 from __future__ import annotations
 
-import operator
 import re
 import sys
 from collections.abc import Iterable, Mapping
@@ -19,7 +18,7 @@ from itertools import chain, combinations, combinations_with_replacement, repeat
 from typing import Union
 
 from .actions import _moves
-from .errors import ParseError, quote
+from .errors import ParseError, at_least, quote
 from .groups import FriezeGroup, generators
 from .monomials import (
     ALPHABET_X,
@@ -43,9 +42,23 @@ _ZERO = Fraction(0)
 
 
 def as_fraction(value: Scalar) -> Fraction:
+    """The one coefficient reader: a float is a TypeError; exponent notation, a zero
+    denominator, a malformed string and a number past the digit limit are ValueErrors."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not allowed; use Fraction or str")
-    return value if type(value) is Fraction else Fraction(value)
+    if isinstance(value, str) and "e" in value.lower():  # Fraction would expand 10**e in full
+        raise ValueError(f"exponent notation is not allowed, got {quote(value)}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()
+        if not limit or max(map(len, re.findall(r"\d+", str(value))), default=0) <= limit:
+            raise ValueError(f"bad coefficient {quote(value)}") from exc
+        raise ValueError(
+            f"coefficient {quote(value)} has a number of more than {limit} digits, too long to read"
+        ) from None
 
 
 class TruncatedSeries:
@@ -62,12 +75,7 @@ class TruncatedSeries:
     ) -> None:
         if alphabet not in (ALPHABET_X, ALPHABET_XY):
             raise ValueError(f"unknown alphabet {quote(alphabet)}")
-        # ints only: a float is refused, and a bool reads as 0 or 1
-        degree, window = operator.index(degree), operator.index(window)
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        if window < 0:
-            raise ValueError("window must be non-negative")
+        degree, window = at_least(degree, 0, "degree"), at_least(window, 0, "window")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "window", window)
@@ -173,9 +181,7 @@ class TruncatedSeries:
 
         The bases that fit the window form one range per translate family
         (``monomial[1:]``), read once from ``_bases_in``."""
-        window = operator.index(window)
-        if window < 0:
-            raise ValueError("window must be non-negative")
+        window = at_least(window, 0, "window")
         if window > self.window:
             raise ValueError(f"cannot project from window {self.window} up to {window}")
         allowed, kept = {}, {}
@@ -236,12 +242,11 @@ class TruncatedSeries:
     def from_json_dict(cls, data: Mapping) -> "TruncatedSeries":
         """Inverse of ``to_json_dict``; any malformed input raises ValueError.
 
-        ``degree`` and ``window`` must be JSON integers, each term an object
-        with a monomial string and a coefficient that is a JSON integer or
-        an exact rational string such as ``"-3/2"``; exponent notation such
-        as ``"1e9"`` is rejected.  Terms that name one monomial, in any spelling,
-        add (zero sums are dropped).  Each distinct coefficient and each distinct
-        factor token is read once per call.  Degree and window are checked after
+        ``degree`` and ``window`` must be JSON integers, each term an object with a
+        monomial string and a coefficient that is a JSON integer or a string, read by
+        ``as_fraction`` once per distinct coefficient, with ``malformed term n: `` before
+        its message.  Terms that name one monomial, in any spelling, add (zero sums are
+        dropped), and each distinct factor token is read once per call.  Degree and window are checked after
         the terms are read, once per translate family (``_some_family_fault``),
         on every term read, also one whose sum cancels; the errors are the
         validating constructor's, in its order, so a fault names the first faulty
@@ -272,21 +277,10 @@ class TruncatedSeries:
             # after the type check, so that true never reads a stored 1
             value = values.get(coeff)
             if value is None:
-                if isinstance(coeff, str) and "e" in coeff.lower():
-                    # Fraction would expand the power of ten in full
-                    raise ValueError(
-                        f"malformed term {n}: exponent notation is not allowed, got {quote(coeff)}"
-                    )
                 try:
-                    value = values[coeff] = Fraction(coeff)
-                except (ValueError, ZeroDivisionError) as exc:
-                    limit = sys.get_int_max_str_digits()
-                    if limit and max(map(len, re.findall(r"\d+", coeff)), default=0) > limit:
-                        raise ValueError(
-                            f"malformed term {n}: coefficient {quote(coeff)} has a number "
-                            f"of more than {limit} digits, too long to read"
-                        ) from None
-                    raise ValueError(f"malformed term {n}: bad coefficient {quote(coeff)}") from exc
+                    value = values[coeff] = as_fraction(coeff)
+                except ValueError as exc:
+                    raise ValueError(f"malformed term {n}: {exc}") from exc
             try:
                 pairs.append((_parse_monomial(entry["monomial"], alphabet, factors_read), value))
             except ParseError as exc:  # its message keeps the position inside the monomial
@@ -392,9 +386,7 @@ def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
 
 def _invariant_interior(group: FriezeGroup, series: TruncatedSeries, margin: int) -> dict | None:
     """``is_invariant``'s one walk: the interior terms by key if invariant, else None."""
-    margin = operator.index(margin)
-    if margin < 1:
-        raise ValueError("margin must be at least 1")
+    margin = at_least(margin, 1, "margin")
     if margin > series.window:
         raise ValueError(
             f"margin {margin} exceeds window {series.window}: the interior is empty, "
@@ -438,11 +430,7 @@ def _symmetric(r: int, window: int, choose, start: int) -> TruncatedSeries:
     a shift form one translate family, so only those whose least index is 0 are
     enumerated, ``(0, *choose(range(start, 2 * window + 1), r - 1))``, each giving
     one shape, and the shape is emitted at every base that keeps it in the window."""
-    r, window = operator.index(r), operator.index(window)
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    if window < 0:
-        raise ValueError("window must be non-negative")
+    r, window = at_least(r, 0, "r"), at_least(window, 0, "window")
     if r == 0:
         return TruncatedSeries._trusted(ALPHABET_X, 0, window, {UNIT_X: Fraction(1)})
     bases = range(-window - 1, window + 1)  # a shape of m parts takes all but the last m

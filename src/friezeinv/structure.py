@@ -75,13 +75,12 @@ def decomposition_census(
     group: FriezeGroup, degree: int, max_parts: int, max_abs_delta: int = 0
 ) -> CensusReport:
     """Count component types over the canonical labels within bounds."""
-    degree, max_parts, max_abs_delta = map(operator.index, (degree, max_parts, max_abs_delta))
     indices = enumerate_indices(group, degree, max_parts, max_abs_delta)
     line = sum(1 for idx in indices if component_type(group, idx) is ComponentType.LINE)
-    double = len(indices) - line
-    if group is FriezeGroup.F6 and degree % 2 == 1 and line:
+    report = CensusReport(group, degree, max_parts, max_abs_delta, line, len(indices) - line)
+    if group is FriezeGroup.F6 and report.degree % 2 == 1 and line:
         raise RuntimeError("self-paired labels require an even degree")
-    return CensusReport(group, degree, max_parts, max_abs_delta, line, double)
+    return report
 
 
 def embed(

@@ -162,6 +162,19 @@ def test_constructor_guards():
     assert isinstance(idx.shape_x, Composition) and idx.degree == 3
 
 
+def test_primed_is_stored_as_a_bool():
+    shape = composition(1)
+    label = make_index(F2, shape, shape, 0, primed=1)
+    assert label == make_index(F2, shape, shape, 0, primed=True) and type(label.primed) is bool
+    assert type(make_index(F2, shape, shape, 0, primed=0).primed) is bool
+    assert str(label) == "f2'[(1),(1);Δ=0]"
+    with pytest.raises(ValueError, match="^primed must be 0 or 1$"):
+        make_index(F2, shape, shape, 0, primed=2)
+    for primed in (0.0, 1.0, 0.5):
+        with pytest.raises(TypeError):
+            make_index(F2, shape, shape, 0, primed=primed)
+
+
 @pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
 def test_canonicalization_is_idempotent(group):
     rng = random.Random(31 + ord(group.value[1]))

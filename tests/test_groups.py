@@ -167,6 +167,22 @@ def test_flag_validation():
     GroupElement(F7, v=True, h=True)
 
 
+def test_flags_are_stored_as_bools():
+    # v=2 would square to v=4 and print as v, although v^2 = 1
+    assert (GroupElement(F7, v=1) * generator(F7, "v")).is_identity
+    element = GroupElement(F7, v=1, h=1)
+    assert element == GroupElement(F7, v=True, h=True) and str(element) == "v*h"
+    assert all(type(flag) is bool for flag in (element.v, element.h, element.r))
+    assert type(GroupElement(F4, r=True, power=2).r) is bool
+    for letter in "vhr":
+        with pytest.raises(ValueError, match=f"^{letter} must be 0 or 1$"):
+            GroupElement(F7, **{letter: 2})
+        with pytest.raises(TypeError):
+            GroupElement(F3, **{letter: 0.5})
+    with pytest.raises(TypeError):
+        GroupElement(F3, v=1.0)
+
+
 def test_generators_listing():
     assert [str(g) for g in generators(F7)] == ["t", "v", "h"]
     assert [str(g) for g in generators(F5)] == ["g", "v"]

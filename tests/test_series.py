@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -25,8 +26,10 @@ from friezeinv import (
     act_series,
     complete_sym,
     composition,
+    compositions_of,
     decomposition_census,
     elementary_sym,
+    embed,
     enumerate_indices,
     expand_basis_function,
     expand_in_basis,
@@ -112,6 +115,116 @@ def test_integer_arguments_are_read_by_operator_index(call):
     with pytest.raises(TypeError):
         call(1.5)
     assert json.dumps(call(True)) == json.dumps(call(1))
+
+
+_X0 = normal_form_x({0: 1})
+
+# each bounded integer argument: the call, the least value allowed, and the message below it
+_BOUNDED_ARGUMENTS = {
+    "orbit_in_window window": (
+        lambda v: sorted(map(str, orbit_in_window(F1, _X0, v))), 0, "window must be non-negative"
+    ),
+    "project window": (lambda v: _E2.project(v).to_json_dict(), 0, "window must be non-negative"),
+    "TruncatedSeries window": (
+        lambda v: TruncatedSeries(ALPHABET_X, 1, v).to_json_dict(), 0, "window must be non-negative"
+    ),
+    "_symmetric window": (
+        lambda v: complete_sym(2, v).to_json_dict(), 0, "window must be non-negative"
+    ),
+    "TruncatedSeries degree": (
+        lambda v: TruncatedSeries(ALPHABET_X, v, 2).to_json_dict(), 0, "degree must be non-negative"
+    ),
+    "enumerate_indices degree": (
+        lambda v: list(map(str, enumerate_indices(F1, v, 2))), 1, "degree must be at least 1"
+    ),
+    "enumerate_indices max_parts": (
+        lambda v: list(map(str, enumerate_indices(F1, 2, v))), 1, "max_parts must be at least 1"
+    ),
+    "enumerate_indices max_abs_delta": (
+        lambda v: list(map(str, enumerate_indices(F6, 2, 2, v))),
+        0,
+        "max_abs_delta must be non-negative",
+    ),
+    "compositions_of order": (
+        lambda v: list(map(str, compositions_of(v, 2))), 0, "order must be non-negative"
+    ),
+    "_invariant_interior margin": (
+        lambda v: is_invariant(F1, _E2, v), 1, "margin must be at least 1"
+    ),
+    "_symmetric r": (lambda v: elementary_sym(v, 2).to_json_dict(), 0, "r must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", _BOUNDED_ARGUMENTS.values(), ids=_BOUNDED_ARGUMENTS.keys())
+def test_bounded_integer_arguments_share_one_reader(case):
+    call, least, message = case
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(least - 1)
+    with pytest.raises(TypeError):
+        call(1.5)
+    assert json.dumps(call(True)) == json.dumps(call(1))  # 1 is allowed for every one
+
+
+def test_each_integer_argument_is_read_in_full_before_the_next():
+    # the degree is out of bounds before max_parts is read
+    with pytest.raises(ValueError, match="^degree must be at least 1$"):
+        enumerate_indices(F1, 0, 1.5)
+    with pytest.raises(ValueError, match="^degree must be non-negative$"):
+        TruncatedSeries(ALPHABET_X, -1, 1.5)
+
+
+def test_sub_and_rmul_follow_add_and_scale():
+    a = TruncatedSeries(ALPHABET_X, 1, 2, {_X0: 2, normal_form_x({1: 1}): Fraction(1, 3)})
+    b = TruncatedSeries(ALPHABET_X, 1, 2, {_X0: 5, normal_form_x({-2: 1}): -1})
+    assert a - b == a + b.scale(-1)
+    assert (a - b).coefficient(_X0) == -3 and (a - a).is_zero()
+    for c in (3, Fraction(-2, 7), "5/4"):
+        assert c * a == a.scale(c) == a * c
+    with pytest.raises(TypeError):
+        a * 1.5
+    with pytest.raises(TypeError):
+        1.5 * a
+
+
+_LABEL_F6 = make_index(F6, composition(1), composition(2), 1)
+
+# a library coefficient string goes through the series files' reader: its messages,
+# without the file's "malformed term n: "
+_BAD_COEFFICIENT_STRINGS = {
+    "1/0": "bad coefficient '1/0'",
+    "-3/0": "bad coefficient '-3/0'",
+    "1e9": "exponent notation is not allowed, got '1e9'",
+    "2E3": "exponent notation is not allowed, got '2E3'",
+    "1e2000000": "exponent notation is not allowed, got '1e2000000'",
+    "abc": "bad coefficient 'abc'",
+}
+
+
+@pytest.mark.parametrize("coeff", _BAD_COEFFICIENT_STRINGS, ids=repr)
+def test_library_coefficient_strings_follow_the_file_rules(coeff):
+    message = _BAD_COEFFICIENT_STRINGS[coeff]
+    calls = {
+        "constructor": lambda: TruncatedSeries(ALPHABET_X, 1, 2, {_X0: coeff}),
+        "scale": lambda: _E2.scale(coeff),
+        "embed": lambda: embed(_LABEL_F6, {(0, 0): coeff}, 3),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+    payload = x_series(2, 0).to_json_dict()
+    payload["terms"][0]["coeff"] = coeff
+    with pytest.raises(ValueError) as caught:
+        TruncatedSeries.from_json_dict(payload)
+    assert str(caught.value) == f"malformed term 0: {message}"
+
+
+def test_library_coefficient_past_the_digit_limit_names_the_limit():
+    limit = sys.get_int_max_str_digits()
+    coeff = "1/" + "7" * (limit + 1)
+    with pytest.raises(ValueError, match=f"has a number of more than {limit} digits, too long"):
+        _E2.scale(coeff)
+    assert _E2.scale("1/" + "7" * limit).num_terms == _E2.num_terms  # at the limit it reads
 
 
 def test_zero_coefficients_pruned():
