@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable, Mapping
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, repeat
 from typing import Union
@@ -33,7 +34,6 @@ from .monomials import (
     _image,
     _parse_monomial,
     _sum_blocks,
-    fits_window,
 )
 
 Scalar = Union[int, str, Fraction]
@@ -62,7 +62,9 @@ def as_fraction(value: Scalar) -> Fraction:
 
 
 class TruncatedSeries:
-    """Immutable sparse map monomial -> Fraction at a fixed degree and window."""
+    """Immutable sparse map monomial -> Fraction at a fixed degree and window.  The
+    constructor reads every key and coefficient, then checks degree and window once per
+    translate family, cancelled terms too; a fault names the first faulty term given."""
 
     __slots__ = ("alphabet", "degree", "window", "_coeffs")
 
@@ -79,14 +81,24 @@ class TruncatedSeries:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "window", window)
-        expected, store = MonomialX if alphabet == ALPHABET_X else MonomialXY, {}
-        for monomial, value in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
-            if not isinstance(monomial, expected):
-                raise TypeError(f"expected {expected.__name__} keys for alphabet {alphabet}")
-            fault = _term_fault(monomial, degree, window)
-            if fault:
-                raise ValueError(fault)
-            _accumulate(((monomial, as_fraction(value)),), store)
+        expected, fits, faulty = MonomialX if alphabet == ALPHABET_X else MonomialXY, {}, []
+
+        def read(items):
+            for monomial, value in items:
+                if not isinstance(monomial, expected):
+                    raise TypeError(f"expected {expected.__name__} keys for alphabet {alphabet}")
+                key = monomial[1:]
+                bases = fits.get(key)
+                if bases is None:  # one degree sum and one base range per translate family
+                    degree_ok = sum(map(sum, key[:2])) == degree
+                    bases = fits[key] = _bases_in(key, window) if degree_ok else range(0)
+                if monomial[0] not in bases:
+                    faulty.append(monomial)
+                yield monomial, as_fraction(value)
+
+        store = _accumulate(read(coeffs.items() if isinstance(coeffs, Mapping) else coeffs))
+        if faulty:  # after every key and coefficient is read: the first faulty term in the input
+            raise ValueError(_term_fault(faulty[0], degree, window))
         object.__setattr__(self, "_coeffs", store)
 
     def __setattr__(self, name, value):  # noqa: ANN001
@@ -219,7 +231,7 @@ class TruncatedSeries:
         )
 
     def __repr__(self) -> str:
-        terms = " + ".join(f"{coeff}*{monomial}" for monomial, coeff in self.terms()[:6])
+        terms = " + ".join(f"{_text(coeff)}*{monomial}" for monomial, coeff in self.terms()[:6])
         if self.num_terms > 6:
             terms += " + ..."
         return (
@@ -233,7 +245,7 @@ class TruncatedSeries:
             "degree": self.degree,
             "window": self.window,
             "terms": [
-                {"monomial": str(monomial), "coeff": str(coeff)}
+                {"monomial": str(monomial), "coeff": _text(coeff)}
                 for monomial, coeff in self.terms()
             ],
         }
@@ -246,11 +258,9 @@ class TruncatedSeries:
         monomial string and a coefficient that is a JSON integer or a string, read by
         ``as_fraction`` once per distinct coefficient, with ``malformed term n: `` before
         its message.  Terms that name one monomial, in any spelling, add (zero sums are
-        dropped), and each distinct factor token is read once per call.  Degree and window are checked after
-        the terms are read, once per translate family (``_some_family_fault``),
-        on every term read, also one whose sum cancels; the errors are the
-        validating constructor's, in its order, so a fault names the first faulty
-        term in the file.
+        dropped), and each distinct factor token is read once per call.  The terms read
+        go to the validating constructor, which checks degree and window, so a fault
+        names the first faulty term in the file.
         """
         if not isinstance(data, Mapping):
             raise ValueError("malformed series object: expected a JSON object")
@@ -285,34 +295,23 @@ class TruncatedSeries:
                 pairs.append((_parse_monomial(entry["monomial"], alphabet, factors_read), value))
             except ParseError as exc:  # its message keeps the position inside the monomial
                 raise ParseError(f"malformed term {n}: {exc}") from None
-        cls(alphabet, degree, window)  # its checks precede a term's fault, as in the constructor
-        if _some_family_fault(pairs, degree, window):
-            # every parsed monomial, cancelled or not: the first faulty term in the file
-            raise ValueError(next(filter(None, (_term_fault(m, degree, window) for m, _ in pairs))))
-        return cls._trusted(alphabet, degree, window, _accumulate(pairs))
+        return cls(alphabet, degree, window, pairs)
 
 
-def _term_fault(monomial: Monomial, degree: int, window: int) -> str | None:
-    """Why the monomial cannot be a term of a series of this degree and window, or None."""
+def _text(value: Fraction) -> str:
+    """``str(value)``, or past the digit limit ``decimal``'s digits, which it writes in full."""
+    try:
+        return str(value)
+    except ValueError:
+        n, d = value.numerator, value.denominator
+        return str(Decimal(n)) + ("" if d == 1 else f"/{Decimal(d)}")
+
+
+def _term_fault(monomial: Monomial, degree: int, window: int) -> str:
+    """Why a monomial found at fault cannot be a term: its degree, or else its support."""
     if monomial.degree != degree:
         return f"monomial {monomial} has degree {monomial.degree}, series has degree {degree}"
-    if not fits_window(monomial, window):
-        return f"monomial {monomial} is not supported in [-{window}, {window}]"
-    return None
-
-
-def _some_family_fault(pairs: list[tuple[Monomial, Fraction]], degree: int, window: int) -> bool:
-    """Whether ``_term_fault`` finds a monomial of ``pairs`` at fault.  The members of a
-    translate family differ only in the base, so they share the degree, and all of them
-    fit the window if its least and its greatest base do."""
-    families = {}
-    for monomial, _ in pairs:
-        families.setdefault(monomial[1:], []).append(monomial[0])
-    return any(
-        sum(map(sum, rest[:2])) != degree
-        or not (min(bases) in (fit := _bases_in(rest, window)) and max(bases) in fit)
-        for rest, bases in families.items()
-    )
+    return f"monomial {monomial} is not supported in [-{window}, {window}]"
 
 
 def _accumulate(

@@ -48,7 +48,7 @@ from friezeinv import (
 from friezeinv.actions import _family_key, _moves, translation_coset_representatives
 from friezeinv.errors import ParseError
 from friezeinv.monomials import _fields, _image, _support, fits_window
-from friezeinv.series import _accumulate, _family_images, _merge
+from friezeinv.series import _family_images, _merge
 from conftest import group_monomials
 
 F1, F2, F3, F4, F5, F6, F7 = FriezeGroup
@@ -80,6 +80,44 @@ def test_construction_validations():
         TruncatedSeries(ALPHABET_X, 1, 1, {normal_form_xy({0: 1}, {}): 1})
     with pytest.raises(TypeError):
         TruncatedSeries(ALPHABET_X, 1, 1, {normal_form_x({0: 1}): 0.5})
+
+
+def _xs(*texts):
+    return [parse_monomial(text, ALPHABET_X) for text in texts]
+
+
+def test_constructor_names_the_first_faulty_term_given():
+    # the family of x[-1] x[0] comes first, but the first faulty term is x[-3]^2
+    ok, early, late, square = _xs("x[-1] x[0]", "x[-3]^2", "x[2] x[3]", "x[0]^2")
+    with pytest.raises(ValueError, match=r"^monomial x\[-3\]\^2 is not supported in \[-2, 2\]$"):
+        TruncatedSeries(ALPHABET_X, 2, 2, [(ok, 1), (early, 1), (late, 1), (square, 1)])
+    [wrong_degree] = _xs("x[0]^3")
+    with pytest.raises(ValueError, match=r"^monomial x\[2\] x\[3\] is not supported"):
+        TruncatedSeries(ALPHABET_X, 2, 2, {ok: 1, late: 1, wrong_degree: 1, early: 1})
+    with pytest.raises(ValueError, match=r"^monomial x\[0\]\^3 has degree 3, series has degree 2$"):
+        TruncatedSeries(ALPHABET_X, 2, 2, {ok: 1, wrong_degree: 1, late: 1, early: 1})
+    # embed: family 1 at base 9 is given before family 0 at base 9
+    label = make_index(F6, composition(1), composition(2), -1)
+    with pytest.raises(ValueError, match=r"^monomial x\[10\]\^2 y\[11\] is not supported in"):
+        embed(label, {(0, 0): 1, (1, 9): 1, (0, 9): 1}, 3)
+    with pytest.raises(ValueError, match=r"^monomial x\[10\] y\[9\]\^2 is not supported in"):
+        embed(label, {(1, 0): 1, (0, 9): 1, (1, 9): 1}, 3)
+
+
+def test_constructor_checks_a_term_whose_sum_cancels():
+    kept, outside = _xs("x[0] x[1]", "x[2] x[3]")
+    terms = [(kept, 1), (outside, "1/2"), (outside, "-1/2")]
+    with pytest.raises(ValueError, match=r"^monomial x\[2\] x\[3\] is not supported in \[-2, 2\]$"):
+        TruncatedSeries(ALPHABET_X, 2, 2, terms)
+    assert TruncatedSeries(ALPHABET_X, 2, 3, terms).terms() == [(kept, 1)]
+
+
+def test_every_key_and_coefficient_is_read_before_degree_and_window():
+    outside, inside = _xs("x[9]", "x[0]")
+    with pytest.raises(ValueError, match=r"^bad coefficient '1/0'$"):
+        TruncatedSeries(ALPHABET_X, 1, 2, [(outside, 1), (inside, "1/0")])
+    with pytest.raises(TypeError, match="^expected MonomialX keys for alphabet X$"):
+        TruncatedSeries(ALPHABET_X, 1, 2, [(outside, 1), (normal_form_xy({0: 1}, {}), 1)])
 
 
 _E2, _F1_LABEL = elementary_sym(2, 3), make_index(F1, composition(1))
@@ -225,6 +263,19 @@ def test_library_coefficient_past_the_digit_limit_names_the_limit():
     with pytest.raises(ValueError, match=f"has a number of more than {limit} digits, too long"):
         _E2.scale(coeff)
     assert _E2.scale("1/" + "7" * limit).num_terms == _E2.num_terms  # at the limit it reads
+
+
+def test_coefficients_past_the_digit_limit_are_written_but_not_read():
+    limit = sys.get_int_max_str_digits()
+    series = elementary_sym(1, 1).scale(10**5000)
+    payload = series.to_json_dict()
+    assert [term["coeff"] for term in payload["terms"]] == ["1" + "0" * 5000] * 3
+    assert repr(series).startswith("TruncatedSeries(X, degree=1, window=1, 1" + "0" * 5000 + "*")
+    # a numerator and a denominator past the limit, each written in full
+    tiny = x_series(2, 0).scale(Fraction(7 - 10**5000, 10**5000 + 1))
+    assert tiny.to_json_dict()["terms"][0]["coeff"] == "-" + "9" * 4999 + "3/1" + "0" * 4999 + "1"
+    with pytest.raises(ValueError, match=f"^malformed term 0: .* more than {limit} digits, too"):
+        TruncatedSeries.from_json_dict(payload)
 
 
 def test_zero_coefficients_pruned():
@@ -760,10 +811,20 @@ def test_json_coefficients_are_exact_strings():
     assert payload["terms"] == [{"monomial": "x[0]", "coeff": "3/2"}]
 
 
+def _added(pairs):
+    """The reference sum: the values of each monomial added up, zero sums dropped."""
+    sums = {}
+    for monomial, value in pairs:
+        sums[monomial] = sums.get(monomial, 0) + value
+    return {monomial: value for monomial, value in sums.items() if value}
+
+
 def _per_term_from_json(data):
-    """The loader as a per-term path: each coefficient and each monomial read
-    on its own by ``parse_monomial``, and the terms handed to the validating
-    constructor, with the loader's messages in the loader's order."""
+    """The loader as a per-term path, with the loader's messages in the loader's
+    order: each coefficient and each monomial read on its own by ``parse_monomial``,
+    the header checked by the constructor of an empty series, each term's degree
+    and support checked on its own, and the terms added up.  Returns the fields
+    of the series, as ``_load`` does."""
     if not isinstance(data, dict):
         raise ValueError("malformed series object: expected a JSON object")
     try:
@@ -803,7 +864,23 @@ def _per_term_from_json(data):
         except ParseError as exc:
             raise ParseError(f"malformed term {n}: {exc}") from None
         terms.append((monomial, value))
-    return TruncatedSeries(alphabet, *header, terms)
+    empty = TruncatedSeries(alphabet, *header)
+    degree, window = empty.degree, empty.window
+    for monomial, _ in terms:  # every term read, also one whose sum cancels
+        if monomial.degree != degree:
+            raise ValueError(
+                f"monomial {monomial} has degree {monomial.degree}, series has degree {degree}"
+            )
+        support = monomial.support()
+        if support is not None and not -window <= support[0] <= support[1] <= window:
+            raise ValueError(f"monomial {monomial} is not supported in [-{window}, {window}]")
+    return alphabet, degree, window, _added(terms)
+
+
+def _load(data):
+    """``from_json_dict`` as the fields of the series it returns."""
+    series = TruncatedSeries.from_json_dict(data)
+    return series.alphabet, series.degree, series.window, dict(series.terms())
 
 
 def _load_outcome(load, data):
@@ -890,7 +967,7 @@ def _document(*monomials, degree=2, window=2, alphabet="X"):
 @example(_document("x[0] x[0]", alphabet="Z"))
 @example(_document(alphabet="Z"))
 def test_loader_agrees_with_the_per_term_path(document):
-    loaded = _load_outcome(TruncatedSeries.from_json_dict, document)
+    loaded = _load_outcome(_load, document)
     assert loaded == _load_outcome(_per_term_from_json, document)
 
 
@@ -940,7 +1017,7 @@ _CANCELLED_OUT_OF_WINDOW = dict(_document(), terms=[
 @example(_PARSE_ERROR_AFTER_A_DEGREE_FAULT)
 @example(_CANCELLED_OUT_OF_WINDOW)
 def test_loader_agrees_with_the_per_term_path_on_translate_families(document):
-    loaded = _load_outcome(TruncatedSeries.from_json_dict, document)
+    loaded = _load_outcome(_load, document)
     assert loaded == _load_outcome(_per_term_from_json, document)
 
 
@@ -982,16 +1059,14 @@ def test_multiply_commutes_with_projection_on_co_supported_factors():
 
 def _pairwise_product(a, b):
     """The reference product: each pair of terms merged and multiplied on its own."""
-    return _accumulate(
-        (_merge(ma, mb), ca * cb) for ma, ca in a._coeffs.items() for mb, cb in b._coeffs.items()
-    )
+    return _added((_merge(ma, mb), ca * cb) for ma, ca in a.terms() for mb, cb in b.terms())
 
 
 def _per_term_action(element, series):
     """The reference ``act_series``: each term through the public ``act``, the
     images kept by ``fits_window`` and added up."""
-    images = ((act(element, monomial), coeff) for monomial, coeff in series._coeffs.items())
-    return _accumulate((image, c) for image, c in images if fits_window(image, series.window))
+    images = ((act(element, monomial), coeff) for monomial, coeff in series.terms())
+    return _added((image, c) for image, c in images if fits_window(image, series.window))
 
 
 def _fresh(series):
@@ -1027,7 +1102,7 @@ def test_multiply_agrees_with_the_pairwise_product(data):
     b = data.draw(group_series(group, data.draw(st.integers(0, 2)), window))
     for left, right in ((a, b), (b, a)):
         product = left.multiply(right)
-        assert product._coeffs == _pairwise_product(left, right)
+        assert dict(product.terms()) == _pairwise_product(left, right)
         assert product.degree == a.degree + b.degree and product.window == window
         margin = data.draw(st.integers(1, window))
         fresh = _outcome(is_invariant, group, _fresh(product), margin)
@@ -1036,7 +1111,7 @@ def test_multiply_agrees_with_the_pairwise_product(data):
 
 def _per_term_projection(series, window):
     """The reference ``project``: each term kept or dropped by ``fits_window``."""
-    return {m: coeff for m, coeff in series._coeffs.items() if fits_window(m, window)}
+    return {m: coeff for m, coeff in series.terms() if fits_window(m, window)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -1047,7 +1122,7 @@ def test_project_agrees_with_the_per_term_filter(data):
     series = data.draw(group_series(group, data.draw(st.integers(0, 3)), window))
     for inner in range(window + 1):
         projected = series.project(inner)
-        assert projected._coeffs == _per_term_projection(series, inner)
+        assert dict(projected.terms()) == _per_term_projection(series, inner)
         assert (projected.degree, projected.window) == (series.degree, inner)
 
 
@@ -1065,7 +1140,7 @@ def test_project_agrees_with_the_per_term_filter(data):
 )
 def test_project_examples_against_the_per_term_filter(series):
     for inner in range(series.window + 1):
-        assert series.project(inner)._coeffs == _per_term_projection(series, inner)
+        assert dict(series.project(inner).terms()) == _per_term_projection(series, inner)
 
 
 @pytest.mark.parametrize("alphabet", [ALPHABET_X, ALPHABET_XY])
@@ -1083,7 +1158,7 @@ def test_multiply_examples_against_the_pairwise_product(alphabet):
         })
         cases += [(ys, plus), (ys, ys), (plus, ys.scale(3))]
     for a, b in cases:
-        assert a.multiply(b)._coeffs == _pairwise_product(a, b)
+        assert dict(a.multiply(b).terms()) == _pairwise_product(a, b)
     assert plus.multiply(minus) == squares
 
 
@@ -1095,8 +1170,8 @@ def test_products_of_shared_coefficient_objects_share_one_object():
     term = TruncatedSeries(ALPHABET_XY, 1, window, {normal_form_xy({0: 1}, {}): Fraction(-7, 2)})
     # each term of left * term comes from one pair: two coefficient objects, two products
     product = left.multiply(term)
-    assert product._coeffs == _pairwise_product(left, term)
-    assert sorted({id(c): c for c in product._coeffs.values()}.values()) == [
+    assert dict(product.terms()) == _pairwise_product(left, term)
+    assert sorted({id(c): c for _, c in product.terms()}.values()) == [
         Fraction(-7, 3), Fraction(35, 2)
     ]
     # a product of invariants is invariant; fresh objects give the same verdicts
@@ -1120,7 +1195,7 @@ def test_act_series_agrees_with_the_per_term_action(data):
     rep = data.draw(st.sampled_from(translation_coset_representatives(group)))
     element = rep * shift(group, data.draw(st.integers(-2 * window - 3, 2 * window + 3)))
     image = act_series(element, series)
-    assert image._coeffs == _per_term_action(element, series)
+    assert dict(image.terms()) == _per_term_action(element, series)
     assert image.num_terms == sum(fits_window(act(element, m), window) for m in series.monomials())
 
 
@@ -1128,7 +1203,7 @@ def _family_keyed_images(group, series, moves, bound):
     """The reference walk: ``_family_images`` keyed by ``actions._family_key``, so
     that for the glide groups each base parity is a group of its own."""
     glide, families = group.uses_glide, {}
-    for monomial, coeff in series._coeffs.items():
+    for monomial, coeff in series.terms():
         families.setdefault(_family_key(monomial, glide), {})[monomial[0]] = coeff
     for z, reflect, swap in moves:
         sign, out = -1 if reflect else 1, {}
@@ -1158,7 +1233,7 @@ def _two_walk_is_invariant(group, series, margin):
     inside, *images = _family_keyed_images(group, series, moves, series.window - margin)
     if any(image != inside for image in images):
         return False
-    if series._coeffs and not inside:
+    if not series.is_zero() and not inside:
         raise ValueError("so there is nothing to check")
     return True
 
