@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, islice, product
 
 from .actions import _coset_moves, orbit_in_window
 from .compositions import EMPTY, Composition, _unchecked, compositions_of, parse_composition
@@ -177,11 +177,11 @@ def expand_in_basis(
     reported when its representative monomial is supported in the interior
     window [-window+margin, window-margin], and the labels come in ``sort_key``
     order.  Non-invariant input, and a margin that leaves no interior, are
-    rejected by ``is_invariant``'s one walk, which gives the interior terms by key.
-    Each translate family there is labelled by its first term: the first of each
-    key, and of each base parity for the glide groups.  The interior members of an
-    orbit are joined by generator steps that stay in the interior, and the walk
-    has compared coefficients across each one.
+    rejected by ``is_invariant``'s one walk, which gives the terms of each interior
+    translate family in base order.  Each family is labelled by its first base, and
+    for the glide groups also by its first base of the other parity.  The
+    interior members of an orbit are joined by generator steps that stay in the
+    interior, and the walk has compared coefficients across each one.
     """
     if series.degree < 1:
         raise ValueError("degree-0 series have no orbit-sum expansion")
@@ -189,13 +189,12 @@ def expand_in_basis(
     if inside is None:
         raise ValueError("series is not invariant on the interior window")
     interior, out = series.window - margin, {}
-    for rest, members in inside.items():
-        first = next(iter(members))
-        other = (base for base in members if (base - first) % 2) if group.uses_glide else ()
-        for base in (first, *islice(other, 1)):
+    for rest, (start, gaps, coeffs) in inside.items():
+        odd = (t for t in zip(accumulate(gaps, initial=start), coeffs) if (t[0] - start) % 2)
+        for base, coeff in ((start, coeffs[0]), *islice(odd, group.uses_glide)):  # g² keeps parity
             index = index_of_monomial(group, (base, *rest))
             if fits_window(representative_monomial(index), interior):
-                out[index] = members[base]
+                out[index] = coeff
     return {index: out[index] for index in sorted(out, key=BasisIndex.sort_key)}
 
 

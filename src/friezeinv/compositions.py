@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .errors import ParseError, at_least, quote, read_int
+from .errors import ParseError, at_least, quote, read_int, write_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +57,7 @@ class Composition:
         return iter(self.parts)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(map(write_int, self.parts)) + ")"
 
     def __reduce__(self) -> tuple:  # copy and pickle check the parts again
         return Composition, (self.parts,)

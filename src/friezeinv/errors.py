@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from decimal import Decimal
 
 
 class ParseError(ValueError):
@@ -32,6 +33,14 @@ def read_int(text: str, position: int | None = None) -> int:
     except ValueError:
         digits = len(text.lstrip("-"))
         raise ParseError(f"an integer of {digits} digits is too long to read", position) from None
+
+
+def write_int(value: int) -> str:
+    """``read_int``'s inverse at any size: ``decimal`` writes past the digit limit of ``str``."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
 def at_least(value: object, least: int, name: str) -> int:

@@ -27,7 +27,7 @@ import re
 from typing import Mapping, Union
 
 from .compositions import EMPTY, Composition, _unchecked
-from .errors import ParseError, quote, read_int
+from .errors import ParseError, quote, read_int, write_int
 
 ALPHABET_X = "X"
 ALPHABET_XY = "XY"
@@ -234,7 +234,7 @@ def normal_form_xy(x_exponents: Mapping[int, int], y_exponents: Mapping[int, int
 def format_monomial(monomial: Monomial) -> str:
     """Text form, e.g. ``x[-1]^2 x[0] y[3]``; the unit monomial is ``1``."""
     factors = [
-        f"{letter}[{index}]^{exponent}" if exponent != 1 else f"{letter}[{index}]"
+        f"{letter}[{write_int(index)}]" + (f"^{write_int(exponent)}" if exponent != 1 else "")
         for letter, exps in zip("xy", monomial._exponent_maps())
         for index, exponent in exps.items()
     ]

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
-from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, repeat
+from itertools import accumulate, chain, combinations, combinations_with_replacement, repeat
+from operator import sub
 from typing import Union
 
 from .actions import _moves
-from .errors import ParseError, at_least, quote
+from .errors import ParseError, at_least, quote, write_int
 from .groups import FriezeGroup, generators
 from .monomials import (
     ALPHABET_X,
@@ -235,8 +236,8 @@ class TruncatedSeries:
         if self.num_terms > 6:
             terms += " + ..."
         return (
-            f"TruncatedSeries({self.alphabet}, degree={self.degree}, "
-            f"window={self.window}, {terms or '0'})"
+            f"TruncatedSeries({self.alphabet}, degree={write_int(self.degree)}, "
+            f"window={write_int(self.window)}, {terms or '0'})"
         )
 
     def to_json_dict(self) -> dict:
@@ -299,12 +300,9 @@ class TruncatedSeries:
 
 
 def _text(value: Fraction) -> str:
-    """``str(value)``, or past the digit limit ``decimal``'s digits, which it writes in full."""
-    try:
-        return str(value)
-    except ValueError:
-        n, d = value.numerator, value.denominator
-        return str(Decimal(n)) + ("" if d == 1 else f"/{Decimal(d)}")
+    """``str(value)`` at any size: its integers are written by ``write_int``."""
+    n, d = value.as_integer_ratio()
+    return write_int(n) if d == 1 else f"{write_int(n)}/{write_int(d)}"
 
 
 def _term_fault(monomial: Monomial, degree: int, window: int) -> str:
@@ -348,43 +346,47 @@ def _merge(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _family_images(series: TruncatedSeries, moves: Iterable, bound: int):
-    """Yield, per ``_moves`` triple, the images in [-bound, bound] of the terms of a series
-    of positive degree, as {fields without the base: {base: coeff}}.  ``_image`` is affine in
-    the base, so it runs once per key and move, at the first base b0: b of either parity goes to
-    b0' ± (b - b0), minus after a reflection.  The image of base b lies in the bound if b + z
-    is in the family's ``_bases_in`` range."""
+    """Yield, per ``_moves`` triple, the images in [-bound, bound] of the terms of a series of
+    positive degree, as {fields without the base: (first base, gaps, coeffs)} in base order.
+    Base b's image is inside when b + z is in its family's ``_bases_in`` range, so bisecting the
+    sorted bases cuts each slice, at a cost of terms, not window; ``_image`` at base 0 gives b0."""
     families = {}
     for monomial, coeff in series._coeffs.items():
         families.setdefault(monomial[1:], {})[monomial[0]] = coeff
-    fits = {rest: _bases_in(rest, bound) for rest in families}
+    for rest, members in families.items():
+        bases = sorted(members)
+        gaps, coeffs = [*map(sub, bases[1:], bases)], [*map(members.get, bases)]
+        families[rest] = _bases_in(rest, bound), bases, gaps, coeffs
     for z, reflect, swap in moves:
-        sign, out = -1 if reflect else 1, {}
-        for rest, members in families.items():
-            b0, fit = next(iter(members)), fits[rest]
-            image = _image(*_fields((b0, *rest)), z, reflect, swap)
-            first, last, offset = fit.start - z, fit.stop - 1 - z, image[0] - sign * b0
-            kept = {offset + sign * b: coeff for b, coeff in members.items() if first <= b <= last}
-            if kept:
-                out[image[1 : len(rest) + 1]] = kept
+        out = {}
+        for rest, (fit, bases, gaps, coeffs) in families.items():
+            i, j = bisect_left(bases, fit.start - z), bisect_left(bases, fit.stop - z)
+            if i < j:  # b goes to image[0] ± b: a reflection reverses the order
+                image = _image(*_fields((0, *rest)), z, reflect, swap)
+                out[image[1 : len(rest) + 1]] = (
+                    (image[0] - bases[j - 1], gaps[i : j - 1][::-1], coeffs[i:j][::-1]) if reflect
+                    else (image[0] + bases[i], gaps[i : j - 1], coeffs[i:j])
+                )
         yield out
 
 
 def act_series(element, series: TruncatedSeries) -> TruncatedSeries:
     """Relabel every monomial by the group action, dropping images that leave
     the window; linear in the series.  Only the images that stay in the window
-    are built (by ``_family_images``), each once: the action is a bijection."""
+    are built, each once, from ``_family_images``'s lists: the action is a bijection."""
     if element.group.alphabet != series.alphabet:
         raise ValueError(f"{element.group} does not act on alphabet {series.alphabet}")
     if series.degree == 0:  # the unit: fixed by every element, in every window
         return series
     cls, out = MonomialX if series.alphabet == ALPHABET_X else MonomialXY, {}
-    for rest, images in next(_family_images(series, [_moves(element)], series.window)).items():
-        out.update((tuple.__new__(cls, (base,) + rest), coeff) for base, coeff in images.items())
+    walk = _family_images(series, [_moves(element)], series.window)
+    for rest, (b0, gaps, cs) in next(walk).items():
+        out.update(zip((tuple.__new__(cls, (b, *rest)) for b in accumulate(gaps, initial=b0)), cs))
     return TruncatedSeries._trusted(series.alphabet, series.degree, series.window, out)
 
 
 def _invariant_interior(group: FriezeGroup, series: TruncatedSeries, margin: int) -> dict | None:
-    """``is_invariant``'s one walk: the interior terms by key if invariant, else None."""
+    """``is_invariant``'s one walk: the interior family slices by key if invariant, else None."""
     margin = at_least(margin, 1, "margin")
     if margin > series.window:
         raise ValueError(
@@ -415,11 +417,10 @@ def is_invariant(group: FriezeGroup, series: TruncatedSeries, margin: int) -> bo
     the interior terms onto themselves: the images of the terms that land in the
     interior, each with its term's coefficient, must be exactly the interior
     terms, the images under the identity; one walk of ``_family_images`` builds
-    them all.  margin >= 1 keeps the preimages of interior monomials inside the
-    window (the shift generators move indices by one), and margin <= window keeps
-    at least one index in the interior.  A nonzero series with no interior term
-    and no interior image is rejected too: nothing would be checked.
-    """
+    them all, by slices of each family's sorted terms.  margin >= 1 keeps the
+    preimages of interior monomials inside the window (the shift generators move
+    indices by one), and margin <= window keeps at least one index in the
+    interior.  A nonzero series with no interior or image term is rejected too."""
     return _invariant_interior(group, series, margin) is not None
 
 

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,18 @@ def test_check_pass_and_fail(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     code, out, _ = run_cli(capsys, "check", "--group", "F6", str(bad))
+    assert code == 1
+    assert json.loads(out)["invariant"] is False
+
+
+def test_check_of_one_term_at_a_wide_window_answers_at_once(tmp_path, capsys):
+    path = tmp_path / "sparse.json"
+    document = {"alphabet": "X", "degree": 1, "window": 10**7, "terms": [
+        {"monomial": "x[0]", "coeff": "1"}]}
+    path.write_text(json.dumps(document))
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "check", "--group", "F1", str(path))
+    assert time.perf_counter() - started < 2
     assert code == 1
     assert json.loads(out)["invariant"] is False
 

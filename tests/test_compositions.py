@@ -19,6 +19,13 @@ def test_basic_construction():
     assert not c.is_empty
 
 
+def test_parts_past_the_digit_limit_are_written_but_not_read():
+    text = "(1" + "0" * 5000 + ",0,1)"
+    assert str(Composition((10**5000, 0, 1))) == text
+    with pytest.raises(ParseError, match="an integer of 5001 digits is too long to read"):
+        parse_composition(text)
+
+
 def test_empty_composition():
     assert EMPTY.order == 0
     assert EMPTY.num_parts == 0

@@ -225,6 +225,18 @@ def test_format_examples():
     assert format_monomial(UNIT_X) == "1"
 
 
+def test_indices_and_exponents_past_the_digit_limit_are_written_but_not_read():
+    text = "x[1" + "0" * 4999 + "]"
+    assert format_monomial(normal_form_x({10**4999: 1})) == text
+    with pytest.raises(ParseError, match="an integer of 5000 digits is too long to read"):
+        parse_monomial(text, ALPHABET_X)
+    power = normal_form_x({0: 10**5000})
+    assert str(power) == "x[0]^1" + "0" * 5000
+    assert str(power.shape) == "(1" + "0" * 5000 + ")"
+    far = normal_form_xy({0: 2}, {-(10**4999): 1})
+    assert format_monomial(far) == "x[0]^2 y[-1" + "0" * 4999 + "]"
+
+
 @given(exponent_maps)
 def test_parse_format_roundtrip_x(exps):
     m = normal_form_x(exps)

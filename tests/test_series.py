@@ -2,9 +2,10 @@ import json
 import random
 import re
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -47,7 +48,7 @@ from friezeinv import (
 )
 from friezeinv.actions import _family_key, _moves, translation_coset_representatives
 from friezeinv.errors import ParseError
-from friezeinv.monomials import _fields, _image, _support, fits_window
+from friezeinv.monomials import _bases_in, _fields, _image, _support, fits_window
 from friezeinv.series import _family_images, _merge
 from conftest import group_monomials
 
@@ -278,6 +279,15 @@ def test_coefficients_past_the_digit_limit_are_written_but_not_read():
         TruncatedSeries.from_json_dict(payload)
 
 
+def test_a_series_with_a_monomial_past_the_digit_limit_is_written():
+    power = normal_form_x({0: 10**5000})
+    series = TruncatedSeries(ALPHABET_X, 10**5000, 0, {power: 2})
+    assert series.to_json_dict()["terms"] == [{"monomial": "x[0]^1" + "0" * 5000, "coeff": "2"}]
+    assert repr(series) == (
+        f"TruncatedSeries(X, degree=1{'0' * 5000}, window=0, 2*x[0]^1{'0' * 5000})"
+    )
+
+
 def test_zero_coefficients_pruned():
     s = TruncatedSeries(ALPHABET_X, 1, 2, [(normal_form_x({0: 1}), 1), (normal_form_x({0: 1}), -1)])
     assert s.is_zero()
@@ -365,6 +375,11 @@ def test_act_series_examples():
     )
 
     assert act_series(shift(F1, 0), s) == s
+
+    # v sends x[i] to x[-i]: the values 1, 2 at x[0], x[1] come back at x[-1], x[0] as 2, 1
+    x0, x1, x_1 = (normal_form_x({i: 1}) for i in (0, 1, -1))
+    pair, image = (TruncatedSeries(ALPHABET_X, 1, 2, {x0: 1, x: 2}) for x in (x1, x_1))
+    assert act_series(generator(F3, "v"), pair) == image
 
 
 def test_act_series_is_linear():
@@ -1255,6 +1270,18 @@ def _two_walk_expansion(group, series, margin):
     return out
 
 
+def _member_dicts(images, bound):
+    """A walk's {key: (first, gaps, coeffs)} as {key: {base: coeff}}; the gaps are
+    positive, one fewer than the coefficients, and the bases lie in ``_bases_in(key, bound)``."""
+    out = {}
+    for key, (first, gaps, coeffs) in images.items():
+        assert len(gaps) + 1 == len(coeffs) and min(gaps, default=1) > 0 and None not in coeffs
+        bases = list(accumulate(gaps, initial=first))
+        assert all(map(_bases_in(key, bound).__contains__, bases))
+        out[key] = dict(zip(bases, coeffs))
+    return out
+
+
 def _flat(images, cut):
     """{monomial fields: coeff} of a walk's output, ``cut`` fields off each key."""
     return {(b, *key[cut:]): c for key, members in images.items() for b, c in members.items()}
@@ -1274,7 +1301,7 @@ def test_the_walk_agrees_with_the_family_keyed_walk(data):
         walk = _family_images(series, moves, bound)
         reference = _family_keyed_images(group, series, moves, bound)
         for images, expected in zip(walk, reference, strict=True):
-            assert _flat(images, 0) == _flat(expected, 1)
+            assert _flat(_member_dicts(images, bound), 0) == _flat(expected, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1292,9 +1319,103 @@ def test_both_base_parities_under_one_key_get_their_own_labels(group):
     odd, even = (index_of_monomial(group, parse_monomial(t, ALPHABET_XY)) for t in ("x[1]", "y[1]"))
     third = Fraction(1, 3)
     series = expand_basis_function(odd, window) * 2 - expand_basis_function(even, window) * third
-    inside = next(_family_images(series, [(0, False, False)], window - margin))
+    interior = window - margin
+    inside = _member_dicts(next(_family_images(series, [(0, False, False)], interior)), interior)
     assert {base % 2 for base in inside[(1,), (), 0]} == {0, 1}
     assert expand_in_basis(group, series, margin) == {odd: 2, even: Fraction(-1, 3)}
+
+
+def _checked_against_the_two_walks(group, series, margin, invariant):
+    """The verdict is ``invariant``, and ``is_invariant`` and ``expand_in_basis`` give
+    what the two-walk references give, which do not run ``_family_images``."""
+    assert is_invariant(group, series, margin) is invariant
+    _same_outcome(is_invariant, _two_walk_is_invariant, group, series, margin)
+    _same_outcome(expand_in_basis, _two_walk_expansion, group, series, margin)
+
+
+@pytest.mark.parametrize("group", [F1, F3], ids=str)
+def test_a_family_with_an_empty_interior_range_beside_an_invariant_family(group):
+    # x[-3] x[3] fits the window 3 but is wider than the interior [-2, 2]
+    window, margin = 3, 1
+    wide = normal_form_x({-3: 1, 3: 1})
+    label = index_of_monomial(group, normal_form_x({0: 1, 1: 1}))
+    assert len(_bases_in(wide[1:], window - margin)) == 0
+    series = expand_basis_function(label, window) + TruncatedSeries(
+        ALPHABET_X, 2, window, {wide: 5}
+    )
+    _checked_against_the_two_walks(group, series, margin, True)
+    assert expand_in_basis(group, series, margin) == {label: 1}
+
+
+@pytest.mark.parametrize("coeff, invariant", [(2, False), (1, True)])
+def test_a_term_just_below_the_interior_range_whose_t_image_lands_inside(coeff, invariant):
+    # interior [-2, 2]: x[-3] has base -4, one below its family's range, and t sends it to x[-2]
+    window, margin = 3, 1
+    label, below = index_of_monomial(F1, normal_form_x({0: 1})), normal_form_x({-3: 1})
+    assert below[0] == _bases_in(below[1:], window - margin).start - 1
+    assert fits_window(act(generator(F1, "t"), below), window - margin)
+    terms = dict(expand_basis_function(label, window).terms())
+    terms[below] = coeff
+    series = TruncatedSeries(ALPHABET_X, 1, window, terms)
+    _checked_against_the_two_walks(F1, series, margin, invariant)
+    if invariant:
+        assert expand_in_basis(F1, series, margin) == {label: 1}
+
+
+@pytest.mark.parametrize("bump", [0, 1])
+@pytest.mark.parametrize("group", [F2, F5], ids=str)
+def test_g_sends_a_family_of_both_base_parities_to_another_family(group, bump):
+    # O(x_1) and O(y_1) put x terms at both base parities of one key, and g
+    # swaps the blocks, so it sends that key to the key of the y terms
+    window, margin = 4, 1
+    x0, y0 = (parse_monomial(text, ALPHABET_XY) for text in ("x[0]", "y[0]"))
+    assert act(generator(group, "g"), x0)[1:] == y0[1:]
+    odd, even = (index_of_monomial(group, parse_monomial(t, ALPHABET_XY)) for t in ("x[1]", "y[1]"))
+    series = expand_basis_function(odd, window) * 3 - expand_basis_function(even, window)
+    terms = dict(series.terms())
+    inside = [m for m in terms if fits_window(m, window - margin)]
+    assert {m[0] % 2 for m in inside if m[1:] == x0[1:]} == {0, 1}
+    terms[y0] += bump
+    series = TruncatedSeries(ALPHABET_XY, 1, window, terms)
+    _checked_against_the_two_walks(group, series, margin, not bump)
+
+
+@pytest.mark.parametrize(
+    "group, text", [(F3, "x[0]^2 x[1]"), (F4, "x[0]^2"), (F7, "x[0]^2")], ids=str
+)
+def test_one_family_of_a_two_family_orbit_is_not_invariant(group, text):
+    window, margin = 4, 1
+    monomial = parse_monomial(text, group.alphabet)
+    interior = orbit_in_window(group, monomial, window - margin)
+    assert len({image[1:] for image in interior}) == 2
+    family = {image: 1 for image in interior if image[1:] == monomial[1:]}
+    series = TruncatedSeries(group.alphabet, monomial.degree, window, family)
+    _checked_against_the_two_walks(group, series, margin, False)
+
+
+@pytest.mark.parametrize("group", [F1, F3], ids=str)
+def test_a_sparse_series_at_a_wide_window_costs_its_terms_not_its_window(group):
+    # one family of three terms spread over a window of 10**7: every list the walk
+    # builds is as long as the terms it sends, and all three readers answer at once
+    window, started = 10**7, time.perf_counter()
+    x = {b: normal_form_x({b: 1}) for b in (-window, 0, window)}
+    series = TruncatedSeries(ALPHABET_X, 1, window, {x[-window]: 2, x[0]: 1, x[window]: 3})
+    moves = [(0, False, False), *map(_moves, generators(group))]
+    for images in _family_images(series, moves, window - 1):
+        _member_dicts(images, window - 1)
+        assert all(len(coeffs) <= 3 for _, _, coeffs in images.values())
+    _checked_against_the_two_walks(group, series, 1, False)
+    t = act(generator(group, "t"), x[0])
+    assert act_series(generator(group, "t"), series) == TruncatedSeries(
+        ALPHABET_X, 1, window, {act(generator(group, "t"), x[-window]): 2, t: 1}
+    )
+    # the orbit sum of x[0] on [-3, 3] beside a far term is invariant on [-2, 2]
+    label = index_of_monomial(group, x[0])
+    near = {normal_form_x({b: 1}): 1 for b in range(-3, 4)}
+    series = TruncatedSeries(ALPHABET_X, 1, window, {**near, x[window]: 5})
+    _checked_against_the_two_walks(group, series, window - 2, True)
+    assert expand_in_basis(group, series, window - 2) == {label: 1}
+    assert time.perf_counter() - started < 2
 
 
 # -- normal forms built unchecked: block products, symmetric functions, normal_form_*
