@@ -35,6 +35,7 @@ representative; ``_families`` and ``stabilizer`` read that one walk, and
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .errors import at_least
@@ -107,18 +108,23 @@ def _families(group: FriezeGroup, monomial: Monomial) -> list[Monomial]:
     return [tuple.__new__(type(monomial), (base, *key[1:])) for key, base in bases.items()]
 
 
-def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[Monomial]:
-    """All images of the monomial whose support lies entirely in [-window, window]."""
+def _orbit_members(group: FriezeGroup, monomial: Monomial, window: int) -> Iterator[Monomial]:
+    """The images of the monomial supported in [-window, window]: each ``_families`` image's
+    translates in turn, bases ascending, sharing its part tuples.  A glide group's translate
+    family can so come as two runs, one per base parity."""
     window = at_least(window, 0, "window")
     step, new, cls = (2 if group.uses_glide else 1), tuple.__new__, type(monomial)
-    out: set[Monomial] = set()
     for image in _families(group, monomial):
         base, rest = image[0], image[1:]
         fit = _bases_in(rest, window)
         # the least base in the range that a translation (a multiple of step) reaches
         start = fit.start + (base - fit.start) % step
-        out.update(new(cls, (b,) + rest) for b in range(start, fit.stop, step))
-    return out
+        yield from (new(cls, (b,) + rest) for b in range(start, fit.stop, step))
+
+
+def orbit_in_window(group: FriezeGroup, monomial: Monomial, window: int) -> set[Monomial]:
+    """All images of the monomial supported in [-window, window]: ``_orbit_members``."""
+    return set(_orbit_members(group, monomial, window))
 
 
 def stabilizer(group: FriezeGroup, monomial: Monomial) -> tuple[GroupElement, ...]:

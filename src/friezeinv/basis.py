@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate, islice, product
 
-from .actions import _coset_moves, orbit_in_window
+from .actions import _coset_moves, _orbit_members
 from .compositions import EMPTY, Composition, _unchecked, compositions_of, parse_composition
 from .errors import ParseError, as_flag, at_least, quote, read_int
 from .groups import FriezeGroup
@@ -158,13 +158,13 @@ def enumerate_indices(
 
 
 def expand_basis_function(index: BasisIndex, window: int) -> TruncatedSeries:
-    """Orbit sum of the label's representative, truncated to the window: each distinct
-    orbit member supported in [-window, window] once, with coefficient 1, whether or not
-    the representative is one.  With no member in the window it is the zero series."""
+    """Orbit sum of the label's representative, truncated to the window: the orbit members
+    supported in [-window, window], the representative among them or not, each once with
+    coefficient 1 and as ``_orbit_members`` yields them, so zero when there are none."""
     window = operator.index(window)
-    orbit = orbit_in_window(index.group, representative_monomial(index), window)
+    members = _orbit_members(index.group, representative_monomial(index), window)
     return TruncatedSeries._trusted(
-        index.group.alphabet, index.degree, window, dict.fromkeys(orbit, Fraction(1))
+        index.group.alphabet, index.degree, window, dict.fromkeys(members, Fraction(1))
     )
 
 

@@ -171,7 +171,8 @@ def _block(factors: list[tuple[int, int]]) -> tuple[int, _Parts]:
     try:
         parts = [0] * (hi - lo + 1)
     except (MemoryError, OverflowError):
-        raise ValueError(f"a block from index {lo} to {hi} is too wide to store") from None
+        ends = f"from index {write_int(lo)} to {write_int(hi)}"  # str fails past the digit limit
+        raise ValueError(f"a block {ends} is too wide to store") from None
     for index, exponent in factors:
         parts[index - lo] += exponent
     return lo - 1, tuple(parts)

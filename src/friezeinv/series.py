@@ -64,8 +64,9 @@ def as_fraction(value: Scalar) -> Fraction:
 
 class TruncatedSeries:
     """Immutable sparse map monomial -> Fraction at a fixed degree and window.  The
-    constructor reads every key and coefficient, then checks degree and window once per
-    translate family, cancelled terms too; a fault names the first faulty term given."""
+    constructor reads every key and coefficient into its translate family, checks degree and
+    window once per family, cancelled terms too, and stores the terms family by family, each
+    in the order given; a fault names the first faulty term given."""
 
     __slots__ = ("alphabet", "degree", "window", "_coeffs")
 
@@ -82,24 +83,22 @@ class TruncatedSeries:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "window", window)
-        expected, fits, faulty = MonomialX if alphabet == ALPHABET_X else MonomialXY, {}, []
-
-        def read(items):
-            for monomial, value in items:
-                if not isinstance(monomial, expected):
-                    raise TypeError(f"expected {expected.__name__} keys for alphabet {alphabet}")
-                key = monomial[1:]
-                bases = fits.get(key)
-                if bases is None:  # one degree sum and one base range per translate family
-                    degree_ok = sum(map(sum, key[:2])) == degree
-                    bases = fits[key] = _bases_in(key, window) if degree_ok else range(0)
-                if monomial[0] not in bases:
-                    faulty.append(monomial)
-                yield monomial, as_fraction(value)
-
-        store = _accumulate(read(coeffs.items() if isinstance(coeffs, Mapping) else coeffs))
+        expected, families, faulty = MonomialX if alphabet == ALPHABET_X else MonomialXY, {}, []
+        for monomial, value in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
+            if not isinstance(monomial, expected):
+                raise TypeError(f"expected {expected.__name__} keys for alphabet {alphabet}")
+            key = monomial[1:]
+            family = families.get(key)
+            if family is None:  # one degree sum and one base range per translate family
+                degree_ok = sum(map(sum, key[:2])) == degree
+                family = families[key] = (_bases_in(key, window) if degree_ok else range(0)), [], []
+            if monomial[0] not in family[0]:
+                faulty.append(monomial)
+            family[1].append(monomial)
+            family[2].append(as_fraction(value))
         if faulty:  # after every key and coefficient is read: the first faulty term in the input
             raise ValueError(_term_fault(faulty[0], degree, window))
+        store = _accumulate(chain.from_iterable(zip(ms, vs) for _, ms, vs in families.values()))
         object.__setattr__(self, "_coeffs", store)
 
     def __setattr__(self, name, value):  # noqa: ANN001
@@ -159,50 +158,51 @@ class TruncatedSeries:
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Ring product by block sums (``_merge``); the degree adds and the window stays the same.
 
-        A product moves with both factors' bases, so each pair of shapes is
-        merged once per base difference, and each pair of coefficient objects is
-        multiplied once (products of shared objects share one, as in ``scale``).
-        Products of window-supported monomials are window-supported, so no
-        truncation loss happens here (loss only enters via the factors).
+        A product moves with both factors' bases, so each pair of translate families
+        (``_by_family``) is merged once per base difference, into the product's family,
+        whose sums are kept by base: no monomial is built or hashed per pair.  Each pair of
+        coefficient objects is multiplied once (products of shared objects share one, as in
+        ``scale``).  Each product family is stored in base order, cancelled sums dropped.
+        Products of window-supported monomials are window-supported, so no truncation loss
+        happens here (loss only enters via the factors).
         """
         self._check_compatible(other, same_degree=False)
-        shapes, merged, products, out = {}, {}, {}, {}
-        right = [
-            (mb[0], shapes.setdefault(mb[1:], len(shapes)), mb, id(cb), cb)
-            for mb, cb in other._coeffs.items()
-        ]
-        for ma, ca in self._coeffs.items():
-            ba, cls = ma[0], type(ma)
-            by_shape, by_coeff = merged.setdefault(ma[1:], {}), products.setdefault(id(ca), {})
-            for bb, shape, mb, key, cb in right:
-                moved = by_shape.get((shape, bb - ba))
-                if moved is None:  # the product's base less ba, and its other fields
-                    product = _merge(ma, mb)
-                    moved = by_shape[shape, bb - ba] = product[0] - ba, product[1:]
-                monomial = tuple.__new__(cls, (ba + moved[0],) + moved[1])
-                value = by_coeff.get(key)
-                if value is None:  # not by truth: a Fraction's truth test runs in Python
-                    value = by_coeff[key] = ca * cb
-                out[monomial] = out[monomial] + value if monomial in out else value
-        out = {monomial: value for monomial, value in out.items() if value}  # drop cancelled sums
+        products, out, store, right = {}, {}, {}, _by_family(other).items()
+        for rest_a, members_a in _by_family(self).items():
+            at_zero = (0, *rest_a)
+            for rest_b, members_b in right:
+                merged = {}
+                for ba, ca in members_a.items():
+                    by_coeff = products.setdefault(id(ca), {})
+                    for bb, cb in members_b.items():
+                        moved = merged.get(bb - ba)
+                        if moved is None:  # the product's base less ba, and its family's sums
+                            product = _merge(at_zero, (bb - ba, *rest_b))
+                            moved = merged[bb - ba] = product[0], out.setdefault(product[1:], {})
+                        value = by_coeff.get(id(cb))
+                        if value is None:  # not by truth: a Fraction's truth test runs in Python
+                            value = by_coeff[id(cb)] = ca * cb
+                        base, sums = ba + moved[0], moved[1]
+                        sums[base] = sums[base] + value if base in sums else value
+        cls, new = MonomialX if self.alphabet == ALPHABET_X else MonomialXY, tuple.__new__
+        for rest, sums in out.items():  # each family in base order, cancelled sums dropped
+            store.update((new(cls, (b,) + rest), sums[b]) for b in sorted(sums) if sums[b])
         return TruncatedSeries._trusted(
-            self.alphabet, self.degree + other.degree, self.window, out
+            self.alphabet, self.degree + other.degree, self.window, store
         )
 
     def project(self, window: int) -> "TruncatedSeries":
         """Restrict to a smaller window, dropping the monomials that escape it.
 
         The bases that fit the window form one range per translate family
-        (``monomial[1:]``), read once from ``_bases_in``."""
+        (``monomial[1:]``), read from ``_bases_in`` once per run of the family's terms."""
         window = at_least(window, 0, "window")
         if window > self.window:
             raise ValueError(f"cannot project from window {self.window} up to {window}")
-        allowed, kept = {}, {}
+        rest, kept = None, {}
         for monomial, coeff in self._coeffs.items():
-            key = monomial[1:]
-            bases = allowed.get(key)
-            if bases is None:
-                bases = allowed[key] = _bases_in(key, window)
+            if (key := monomial[1:]) != rest:
+                rest, bases = key, _bases_in(key, window)
             if monomial[0] in bases:
                 kept[monomial] = coeff
         return TruncatedSeries._trusted(self.alphabet, self.degree, window, kept)
@@ -345,24 +345,35 @@ def _merge(a: Monomial, b: Monomial) -> Monomial:
     return tuple.__new__(type(a), _image(bx, px, py, by - bx)[: len(a)])
 
 
+def _by_family(series: TruncatedSeries) -> dict[tuple, dict[int, Fraction]]:
+    """The terms by translate family, {fields without the base: {base: coeff}}.  A family is
+    looked up only where a term's fields differ from the previous term's, so a run of one
+    family, whose part tuples are shared objects and compare by identity, hashes no shape."""
+    families, rest = {}, None
+    for monomial, coeff in series._coeffs.items():
+        if (key := monomial[1:]) != rest:
+            rest, members = key, families.setdefault(key, {})
+        members[monomial[0]] = coeff
+    return families
+
+
 def _family_images(series: TruncatedSeries, moves: Iterable, bound: int):
     """Yield, per ``_moves`` triple, the images in [-bound, bound] of the terms of a series of
     positive degree, as {fields without the base: (first base, gaps, coeffs)} in base order.
+    Each ``_by_family`` family's bases are sorted once, in linear time when stored ascending.
     Base b's image is inside when b + z is in its family's ``_bases_in`` range, so bisecting the
     sorted bases cuts each slice, at a cost of terms, not window; ``_image`` at base 0 gives b0."""
-    families = {}
-    for monomial, coeff in series._coeffs.items():
-        families.setdefault(monomial[1:], {})[monomial[0]] = coeff
+    families = _by_family(series)
     for rest, members in families.items():
         bases = sorted(members)
         gaps, coeffs = [*map(sub, bases[1:], bases)], [*map(members.get, bases)]
-        families[rest] = _bases_in(rest, bound), bases, gaps, coeffs
+        families[rest] = _bases_in(rest, bound), _fields((0, *rest)), bases, gaps, coeffs
     for z, reflect, swap in moves:
         out = {}
-        for rest, (fit, bases, gaps, coeffs) in families.items():
+        for rest, (fit, fields, bases, gaps, coeffs) in families.items():
             i, j = bisect_left(bases, fit.start - z), bisect_left(bases, fit.stop - z)
             if i < j:  # b goes to image[0] ± b: a reflection reverses the order
-                image = _image(*_fields((0, *rest)), z, reflect, swap)
+                image = _image(*fields, z, reflect, swap)
                 out[image[1 : len(rest) + 1]] = (
                     (image[0] - bases[j - 1], gaps[i : j - 1][::-1], coeffs[i:j][::-1]) if reflect
                     else (image[0] + bases[i], gaps[i : j - 1], coeffs[i:j])

@@ -546,6 +546,16 @@ def test_expand_window_too_small():
 
 
 @pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_expand_basis_function_is_the_brute_force_orbit_with_coefficient_one(group):
+    # read from the ordered orbit walk, not from orbit_in_window's set; for F2 and F5,
+    # f[(1),(1);Δ=0] has one translate family that the walk yields once per base parity
+    for label in enumerate_indices(group, 2, 2, 1):
+        for window in (0, 3, 7):
+            orbit = brute_orbit_in_window(group, representative_monomial(label), window)
+            assert dict(expand_basis_function(label, window).terms()) == dict.fromkeys(orbit, 1)
+
+
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
 def test_partition_of_monomials(group):
     """Sampled version of the orbit-partition property (full sweep in the
     acceptance suite): every monomial lies in exactly one label's expansion."""

@@ -237,6 +237,14 @@ def test_indices_and_exponents_past_the_digit_limit_are_written_but_not_read():
     assert format_monomial(far) == "x[0]^2 y[-1" + "0" * 4999 + "]"
 
 
+@pytest.mark.parametrize(
+    "build", [lambda e: normal_form_x(e), lambda e: normal_form_xy({0: 1}, e)], ids=["x", "y"]
+)
+def test_a_block_too_wide_to_store_is_named_past_the_digit_limit(build):
+    with pytest.raises(ValueError, match=r"^a block from index -10{5000} to 3 is too wide to store$"):
+        build({-(10**5000): 2, 3: 1})
+
+
 @given(exponent_maps)
 def test_parse_format_roundtrip_x(exps):
     m = normal_form_x(exps)

@@ -1418,6 +1418,75 @@ def test_a_sparse_series_at_a_wide_window_costs_its_terms_not_its_window(group):
     assert time.perf_counter() - started < 2
 
 
+def _two_orbit_sums(group, window):
+    """2 O(a) - 1/3 O(b) for the first two degree-2 labels of the group: several families."""
+    first, second = enumerate_indices(group, 2, 2, 1)[:2]
+    return (
+        expand_basis_function(first, window).scale(2)
+        + expand_basis_function(second, window).scale(Fraction(-1, 3))
+    )
+
+
+@pytest.mark.parametrize("bump", [0, 1])
+@pytest.mark.parametrize("group", [F1, F5, F7], ids=str)
+def test_a_sum_whose_families_arrive_in_two_interleaved_runs(group, bump):
+    # add appends the other operand's new terms, so with each family's bases split
+    # between the operands (b mod 4 < 2, which alternates at a step of 1 or 2),
+    # every family of the sum arrives as two runs, the second after the other families
+    window, margin = 5, 1
+    whole = _two_orbit_sums(group, window)
+    halves = [[(m, c) for m, c in whole.terms() if (m[0] % 4 < 2) == first] for first in (1, 0)]
+    assert len({m[1:] for m, _ in halves[0]} & {m[1:] for m, _ in halves[1]}) >= 2
+    interior = next(i for i, (m, _) in enumerate(halves[1]) if fits_window(m, window - margin))
+    halves[1][interior] = halves[1][interior][0], halves[1][interior][1] + bump
+    early, late = (TruncatedSeries(whole.alphabet, 2, window, half) for half in halves)
+    series = early + late
+    assert (series == whole) is not bool(bump)
+    _checked_against_the_two_walks(group, series, margin, not bump)
+    for rep in translation_coset_representatives(group):
+        for z in (-3, 0, 1, 2):
+            element = rep * shift(group, z)
+            assert dict(act_series(element, series).terms()) == _per_term_action(element, series)
+
+
+@pytest.mark.parametrize("group", [F1, F5, F7], ids=str)
+def test_the_constructor_gives_one_series_for_any_order_of_its_terms(group):
+    window, margin = 5, 1
+    whole = _two_orbit_sums(group, window)
+    terms = whole.terms()
+    random.Random(11).shuffle(terms)
+    shuffled = TruncatedSeries(whole.alphabet, 2, window, terms)
+    assert shuffled == whole
+    _checked_against_the_two_walks(group, shuffled, margin, True)
+    assert expand_in_basis(group, shuffled, margin) == expand_in_basis(group, whole, margin)
+    # two faulty terms in different families: the one given first is named, whichever
+    # family was filed first
+    first = terms[0][0]
+    other = next(m for m, _ in terms if m[1:] != first[1:])
+    far_first, far_other = (act(shift(group, 2 * window + 2), m) for m in (first, other))
+    for a, b in ((far_first, far_other), (far_other, far_first)):
+        faulty = [*terms[:3], (a, 1), *terms[3:], (b, 1)]
+        message = f"monomial {a} is not supported in [-{window}, {window}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TruncatedSeries(whole.alphabet, 2, window, faulty)
+
+
+@pytest.mark.parametrize("alphabet", [ALPHABET_X, ALPHABET_XY])
+def test_a_sparse_factor_costs_its_pairs_not_its_window(alphabet):
+    far, started = 10**6, time.perf_counter()
+    if alphabet == ALPHABET_X:
+        ends = normal_form_x({-far: 1}), normal_form_x({far: 1})
+        one = normal_form_x({0: 1, 1: 1})
+    else:
+        ends = normal_form_xy({-far: 1}, {}), normal_form_xy({}, {far: 1})
+        one = normal_form_xy({0: 1}, {1: 1})
+    sparse = TruncatedSeries(alphabet, 1, far, dict(zip(ends, (2, Fraction(-3, 4)))))
+    single = TruncatedSeries(alphabet, 2, far, {one: Fraction(1, 2)})
+    for a, b in ((sparse, single), (single, sparse)):
+        assert dict(a.multiply(b).terms()) == _pairwise_product(a, b)
+    assert time.perf_counter() - started < 1
+
+
 # -- normal forms built unchecked: block products, symmetric functions, normal_form_*
 
 exponent_maps = st.dictionaries(st.integers(-4, 4), st.integers(1, 3), max_size=3)
