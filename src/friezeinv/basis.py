@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from itertools import accumulate, islice, product
+from itertools import product
 
 from .actions import _coset_moves, _orbit_members
 from .compositions import EMPTY, Composition, _unchecked, compositions_of, parse_composition
@@ -178,8 +178,12 @@ def expand_in_basis(
     window [-window+margin, window-margin], and the labels come in ``sort_key``
     order.  Non-invariant input, and a margin that leaves no interior, are
     rejected by ``is_invariant``'s one walk, which gives the terms of each interior
-    translate family in base order.  Each family is labelled by its first base, and
-    for the glide groups also by its first base of the other parity.  The
+    translate family in base order.  Each family is labelled by its first base.  For
+    the glide groups that also covers the bases of the other parity: g sends the family
+    (p_x, p_y, delta) at base b to (p_y, p_x, -delta) at base b + delta + 1 and moves
+    the support by 1, so the image family has the interior base range moved by delta.
+    When both parity classes of a family are nonzero, the first bases of the family and
+    of its image lie in different orbits; otherwise one class is all there is.  The
     interior members of an orbit are joined by generator steps that stay in the
     interior, and the walk has compared coefficients across each one.
     """
@@ -189,12 +193,10 @@ def expand_in_basis(
     if inside is None:
         raise ValueError("series is not invariant on the interior window")
     interior, out = series.window - margin, {}
-    for rest, (start, gaps, coeffs) in inside.items():
-        odd = (t for t in zip(accumulate(gaps, initial=start), coeffs) if (t[0] - start) % 2)
-        for base, coeff in ((start, coeffs[0]), *islice(odd, group.uses_glide)):  # g² keeps parity
-            index = index_of_monomial(group, (base, *rest))
-            if fits_window(representative_monomial(index), interior):
-                out[index] = coeff
+    for rest, (start, _, coeffs) in inside.items():
+        index = index_of_monomial(group, (start, *rest))
+        if fits_window(representative_monomial(index), interior):
+            out[index] = coeffs[0]
     return {index: out[index] for index in sorted(out, key=BasisIndex.sort_key)}
 
 

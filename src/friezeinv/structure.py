@@ -9,11 +9,13 @@ family with that base, and ``coordinates`` reads the keys back; a translation
 adds 1 (2 for g^2) to every base.  Under F1 every label has one family, a
 LINE; under F6 so have the self-paired labels (equal shapes, offset 0), and
 every other label has two, its own and its h-image, a DOUBLE.  The census
-counts these per canonical label within enumeration bounds.
+counts these per canonical label within enumeration bounds, by formula rather
+than by listing the labels.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +23,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .actions import _families, _family_key
-from .basis import BasisIndex, enumerate_indices, representative_monomial
+from .basis import BasisIndex, representative_monomial
+from .errors import at_least
 from .groups import FriezeGroup
 from .series import Scalar, TruncatedSeries
 
@@ -31,10 +34,14 @@ class ComponentType(Enum):
     DOUBLE = "DOUBLE"
 
 
-def component_type(group: FriezeGroup, index: BasisIndex) -> ComponentType:
-    """LINE for a single coordinate line, DOUBLE for a doubled one."""
+def _classified(group: FriezeGroup) -> None:
     if group not in (FriezeGroup.F1, FriezeGroup.F6):
         raise ValueError(f"component classification is defined for F1 and F6, not {group}")
+
+
+def component_type(group: FriezeGroup, index: BasisIndex) -> ComponentType:
+    """LINE for a single coordinate line, DOUBLE for a doubled one."""
+    _classified(group)
     if index.group is not group:
         raise ValueError("label group mismatch")
     if group is FriezeGroup.F1:
@@ -74,13 +81,27 @@ class CensusReport:
 def decomposition_census(
     group: FriezeGroup, degree: int, max_parts: int, max_abs_delta: int = 0
 ) -> CensusReport:
-    """Count component types over the canonical labels within bounds."""
-    indices = enumerate_indices(group, degree, max_parts, max_abs_delta)
-    line = sum(1 for idx in indices if component_type(group, idx) is ComponentType.LINE)
-    report = CensusReport(group, degree, max_parts, max_abs_delta, line, len(indices) - line)
-    if group is FriezeGroup.F6 and report.degree % 2 == 1 and line:
-        raise RuntimeError("self-paired labels require an even degree")
-    return report
+    """Count component types over the canonical labels within bounds, by formula;
+    ``enumerate_indices`` with ``component_type`` lists the same counts.  A shape of
+    order n with at most m parts and positive ends is one of comb(n + m - 2, m - 1),
+    or the empty one at n = 0.  An F1 label is a shape, a LINE.  F6 raw labels pair up
+    under h, which swaps the shapes and negates delta, so by Burnside over {1, h} the
+    DOUBLE labels are (raw - LINE)/2, with the fixed points, equal shapes and delta 0,
+    the LINE labels."""
+    degree, max_parts = at_least(degree, 1, "degree"), at_least(max_parts, 1, "max_parts")
+    max_abs_delta = at_least(max_abs_delta, 0, "max_abs_delta")
+    _classified(group)
+
+    def shapes(order: int) -> int:
+        return math.comb(order + max_parts - 2, max_parts - 1) if order else 1
+
+    if group is FriezeGroup.F1:
+        return CensusReport(group, degree, max_parts, max_abs_delta, shapes(degree), 0)
+    # the sum over 0 < a < degree of shapes(a) * shapes(degree - a)
+    two_blocks = math.comb(degree + 2 * max_parts - 3, 2 * max_parts - 1)
+    raw = 2 * shapes(degree) + (2 * max_abs_delta + 1) * two_blocks
+    line = 0 if degree % 2 else shapes(degree // 2)
+    return CensusReport(group, degree, max_parts, max_abs_delta, line, (raw - line) // 2)
 
 
 def embed(

@@ -597,6 +597,40 @@ def test_expand_in_basis_round_trip(group):
     assert recovered == expected
 
 
+@pytest.mark.parametrize("group", list(FriezeGroup), ids=lambda g: g.value)
+def test_expand_in_basis_finds_every_orbit_from_first_bases(group):
+    # each interior family is labelled by its first base only: for F2 and F5 the
+    # orbit of the other parity class is reached through the family's g-image, so
+    # every sum of orbit sums expands to exactly the labels whose representative
+    # lies in the interior, at every window and margin
+    rng = random.Random(61 + ord(group.value[1]))
+    for degree in (1, 2, 3):
+        labels = enumerate_indices(group, degree, 3, 2)
+        combos = [[idx] for idx in labels]
+        combos += [rng.sample(labels, min(n, len(labels))) for n in (2, 3) for _ in range(4)]
+        for window in range(1, 8):
+            for combo in combos:
+                weights = {}
+                for idx in combo:
+                    weights[idx] = weights.get(idx, 0) + rng.randint(1, 3)
+                series = None
+                for idx, weight in weights.items():
+                    term = expand_basis_function(idx, window).scale(weight)
+                    series = term if series is None else series + term
+                for margin in range(1, window + 1):
+                    lo, hi = -window + margin, window - margin
+                    expected = {
+                        idx: weight for idx, weight in weights.items()
+                        if lo <= (support := representative_monomial(idx).support())[0]
+                        and support[1] <= hi
+                    }
+                    try:
+                        recovered = expand_in_basis(group, series, margin)
+                    except ValueError:  # no interior term at all
+                        recovered = {}
+                    assert recovered == expected, (combo, window, margin)
+
+
 def test_label_text_roundtrip():
     samples = [
         make_index(F1, composition(1, 0, 2)),

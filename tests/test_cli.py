@@ -198,10 +198,33 @@ def test_census_f6_odd_degree(capsys):
 
 
 def test_census_with_many_parts(capsys):
-    # shapes of up to 2000 parts: the enumeration must not recurse once per part
+    # shapes of up to 2000 parts are counted, never built part by part
     code, out, _ = run_cli(capsys, "census", "--group", "F1", "-k", "1", "--max-parts", "2000")
     assert code == 0
     assert json.loads(out)["LINE"] == 1
+
+
+def test_census_refuses_a_group_before_any_work(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "census", "--group", "F3", "-k", "1000", "--max-parts", "50")
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert err == "error: component classification is defined for F1 and F6, not F3\n"
+
+
+def test_census_reads_its_arguments_before_the_group(capsys):
+    code, out, err = run_cli(capsys, "census", "--group", "F3", "-k", "0", "--max-parts", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: degree must be at least 1\n"
+
+
+def test_census_count_past_the_digit_limit_is_one_error_line(capsys):
+    code, out, err = run_cli(
+        capsys, "census", "--group", "F1", "-k", "20000", "--max-parts", "20000"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_census_negative_max_delta_is_usage_error(capsys):

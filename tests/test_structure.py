@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -53,16 +54,6 @@ def test_census_f6_parity():
         assert report.double > 0
 
 
-def test_census_f6_parity_guard_survives_optimize(monkeypatch):
-    # a classification that calls a label self-paired at odd degree must fail
-    # loudly, also under python -O
-    import friezeinv.structure as structure
-
-    monkeypatch.setattr(structure, "component_type", lambda group, index: ComponentType.LINE)
-    with pytest.raises(RuntimeError, match="even degree"):
-        decomposition_census(F6, 3, 3, 3)
-
-
 def test_census_f1_matches_stars_and_bars():
     # exact-part counts via cumulative census differences
     for degree in (1, 2, 3, 4):
@@ -78,6 +69,51 @@ def test_census_example_counts():
     report = decomposition_census(F6, 2, 2, 2)
     assert report.total == report.line + report.double
     assert report.total == len(enumerate_indices(F6, 2, 2, 2))
+
+
+def _enumerated_census(group, degree, max_parts, max_delta):
+    """The census by listing: the canonical labels and the type of each."""
+    indices = enumerate_indices(group, degree, max_parts, max_delta)
+    line = sum(1 for idx in indices if component_type(group, idx) is ComponentType.LINE)
+    return line, len(indices) - line
+
+
+@pytest.mark.parametrize("group", [F1, F6], ids=lambda g: g.value)
+@pytest.mark.parametrize("degree", range(1, 11))
+def test_census_counts_match_enumeration(group, degree):
+    for max_parts in range(1, 7):
+        for max_delta in range(4):
+            report = decomposition_census(group, degree, max_parts, max_delta)
+            assert (report.line, report.double) == _enumerated_census(
+                group, degree, max_parts, max_delta
+            ), (max_parts, max_delta)
+
+
+def test_census_two_block_count_is_the_convolution_of_shape_counts():
+    # raw labels with both shapes nonempty, one offset: sum over the split of the degree
+    for max_parts in range(1, 9):
+        shapes = [1] + [math.comb(n + max_parts - 2, max_parts - 1) for n in range(1, 40)]
+        for degree in range(1, 40):
+            direct = sum(shapes[a] * shapes[degree - a] for a in range(1, degree))
+            assert math.comb(degree + 2 * max_parts - 3, 2 * max_parts - 1) == direct
+
+
+def test_census_counts_without_listing():
+    started = time.perf_counter()
+    report = decomposition_census(F6, 200, 20, 5)
+    assert time.perf_counter() - started < 1
+    assert report.line == math.comb(100 + 18, 19)
+    assert decomposition_census(F1, 20, 20).total == 35_345_263_800
+
+
+def test_census_refuses_other_groups_after_reading_its_arguments():
+    for group in (F2, F3, FriezeGroup.F4, FriezeGroup.F5, FriezeGroup.F7):
+        with pytest.raises(ValueError, match=f"defined for F1 and F6, not {group}"):
+            decomposition_census(group, 1000, 50)
+        with pytest.raises(ValueError, match="degree"):
+            decomposition_census(group, 0, 0, -1)
+        with pytest.raises(TypeError):
+            decomposition_census(group, 2, 2.0)
 
 
 def _raw_shapes(order, max_parts):
